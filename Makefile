@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: test race gate cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke
+.PHONY: test race gate cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke flake-check
 
 # Tier-1: vet + build + unit tests (ROADMAP.md contract).
 test:
@@ -127,6 +127,20 @@ cluster-smoke:
 session-smoke:
 	$(GO) test -race -count=1 -run 'TestSessionSmoke|TestClusterSessionLoop' \
 		./internal/daemon ./internal/fleet
+
+# Flake check (optional; not part of `gate`): every concurrency and
+# conservation test 50 times under the race detector in shuffled order —
+# the session store's lifecycle counters, the matcher cache's eviction
+# books, exact stream-admission accounting, and the cluster smoke's
+# counter reconciliation. The gate runs each of them once; an invariant
+# called "pinned" should hold here too.
+flake-check:
+	$(GO) test -race -count=50 -shuffle=on ./internal/sessionstore
+	$(GO) test -race -count=50 -shuffle=on -run 'TestCacheEvictionConservation' ./internal/rematch
+	$(GO) test -race -count=50 -shuffle=on \
+		-run 'TestAdmissionStressExactAccounting|TestAdmissionContendedMix|TestAdmissionSlotReleasedOnDisconnect' \
+		./internal/daemon
+	$(GO) test -race -count=50 -shuffle=on -run 'TestClusterSmoke' ./internal/fleet
 
 # Cluster parity, full matrix: every routing policy × node count {1,2,4}
 # over the whole benchmark suite, asserting byte-identical apply and

@@ -277,6 +277,47 @@ func BenchmarkParallelEndToEnd(b *testing.B) {
 	}
 }
 
+// heavySession is the large interactive session: a 20k-row six-format
+// phone column grown by a 1k-row append, labeled with the §7.2 target
+// and run on one worker.
+func heavySession(b *testing.B) *clx.Transformation {
+	b.Helper()
+	rows, _ := dataset.Phones(20000, 6, 7919)
+	more, _ := dataset.Phones(1000, 6, 7920)
+	opts := clx.DefaultOptions()
+	opts.Workers = 1
+	sess := clx.NewSession(rows, opts)
+	sess.AppendAndReprofile(more)
+	tr, err := sess.Label(clx.MustParsePattern("<D>3'-'<D>3'-'<D>4"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+// BenchmarkRepairCandidates20k scores every source's ranked plans over
+// the heavy session (one op = all sources).
+func BenchmarkRepairCandidates20k(b *testing.B) {
+	tr := heavySession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := range tr.Sources() {
+			tr.RepairCandidates(s)
+		}
+	}
+}
+
+// BenchmarkFlagged20k finds the heavy session's flagged rows.
+func BenchmarkFlagged20k(b *testing.B) {
+	tr := heavySession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Flagged()
+	}
+}
+
 func BenchmarkFlashFillLatency(b *testing.B) {
 	examples := []flashfill.Example{
 		{In: "(734) 645-8397", Out: "734-645-8397"},

@@ -442,6 +442,13 @@ func (t *Transformation) ExplainWithPreview(perOp int) string {
 	return t.Replaces().PreviewTable(t.data, perOp)
 }
 
+// Preview samples up to max rows of the labeled snapshot that op
+// transforms, with their outputs (the per-operation rows of
+// ExplainWithPreview).
+func (t *Transformation) Preview(op replace.Op, max int) []replace.PreviewRow {
+	return op.Preview(t.data, max)
+}
+
 // Program returns the underlying UniFi program.
 func (t *Transformation) Program() unifi.Program { return t.res.Program() }
 
@@ -458,6 +465,16 @@ func (t *Transformation) Alternatives(i int) []replace.Op {
 		out[j] = replace.ExplainCase(unifi.Case{Source: src.Source, Plan: r.Plan})
 	}
 	return out
+}
+
+// PlanCount returns how many ranked plans source i has — the length of
+// Alternatives(i) and of RepairCandidates(i), with neither rendered nor
+// scored. Out-of-range sources have none.
+func (t *Transformation) PlanCount(i int) int {
+	if i < 0 || i >= len(t.res.Sources) {
+		return 0
+	}
+	return len(t.res.Sources[i].Plans)
 }
 
 // Repair replaces source i's plan with its j-th ranked alternative (§6.4).
@@ -563,6 +580,28 @@ func (t *Transformation) Run() (out []string, flagged []int) {
 		}
 	})
 	return out, flagged
+}
+
+// Flagged returns exactly Run's flagged row indices without rendering
+// the output column: rows in the synthesis-time clean set are skipped,
+// and every other row is only dispatched through the compiled program —
+// guards and plan checks included — to see whether some case covers it.
+func (t *Transformation) Flagged() []int {
+	prog := t.guardedProgram().Compile()
+	clean, data := t.res.CleanRows, t.data
+	return parallel.Gather(t.sess.opts.Workers, len(data), func(lo, hi int, emit func(int)) {
+		// clean is ascending: walk it alongside the shard's rows.
+		k := sort.SearchInts(clean, lo)
+		for i := lo; i < hi; i++ {
+			if k < len(clean) && clean[k] == i {
+				k++
+				continue
+			}
+			if !prog.Covers(data[i]) {
+				emit(i)
+			}
+		}
+	})
 }
 
 // Apply transforms a single new string. ok is false when the string matches

@@ -45,11 +45,11 @@ var (
 
 // sessionJSON is the wire form of one session's state.
 type sessionJSON struct {
-	ID             string    `json:"id"`
-	Rows           int       `json:"rows"`
-	DistinctValues int       `json:"distinct_values"`
-	LeafPatterns   int       `json:"leaf_patterns"`
-	Levels         int       `json:"levels"`
+	ID             string `json:"id"`
+	Rows           int    `json:"rows"`
+	DistinctValues int    `json:"distinct_values"`
+	LeafPatterns   int    `json:"leaf_patterns"`
+	Levels         int    `json:"levels"`
 	// Generation counts the column-changing appends; it pairs with the
 	// label response's generation to explain a 409.
 	Generation uint64 `json:"generation"`
@@ -285,7 +285,6 @@ func (s *server) handleSessionLabel(w http.ResponseWriter, r *http.Request) {
 // holds the handle lock.
 func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionLabelResponse {
 	tr := h.Transformation()
-	rows := h.Session().Data()
 	resp := sessionLabelResponse{Generation: tr.Generation()}
 	for i, op := range tr.Replaces() {
 		j := opJSON{
@@ -295,7 +294,7 @@ func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionL
 			Source:      op.Source.String(),
 		}
 		if previewRows > 0 {
-			for _, p := range op.Preview(rows, previewRows) {
+			for _, p := range tr.Preview(op, previewRows) {
 				j.Preview = append(j.Preview, previewJSON{Input: p.Input, Output: p.Output})
 			}
 		}
@@ -304,14 +303,17 @@ func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionL
 		}
 		resp.Ops = append(resp.Ops, j)
 	}
+	// Only what the response returns is computed: each source's plan
+	// count (scoring waits for GET .../repair) and the flagged rows
+	// (the output column itself is never rendered).
 	for i, src := range tr.Sources() {
 		resp.Sources = append(resp.Sources, sessionSourceJSON{
 			Index:   i,
 			Pattern: src.String(),
-			Plans:   len(tr.RepairCandidates(i)),
+			Plans:   tr.PlanCount(i),
 		})
 	}
-	_, resp.Flagged = tr.Run()
+	resp.Flagged = tr.Flagged()
 	resp.Clean = tr.Clean()
 	return resp
 }

@@ -5,17 +5,21 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	clx "clx"
+	"clx/internal/dataset"
 	"clx/internal/progstore"
+	"clx/internal/sessionstore"
 )
 
 // sessionRequest is the request helper plus the X-Session-ID pinning
@@ -365,5 +369,152 @@ func TestSessionValidation(t *testing.T) {
 	// Duplicate pinned id conflicts.
 	if code, _, _ := sessionRequest(t, h, "POST", "/v1/sessions", `{"rows":["a1"]}`, "s-val"); code != http.StatusConflict {
 		t.Fatalf("duplicate id: %d", code)
+	}
+}
+
+// referenceLabelResponse renders the label/repair response the way the
+// handler first did: previews from a copy of the session column, every
+// source scored by RepairCandidates only to count its plans, and the
+// flagged rows taken from a full Run.
+func referenceLabelResponse(h *sessionstore.Handle, previewRows int) sessionLabelResponse {
+	tr := h.Transformation()
+	rows := h.Session().Data()
+	resp := sessionLabelResponse{Generation: tr.Generation()}
+	for i, op := range tr.Replaces() {
+		j := opJSON{
+			NL:          op.NLRegex(),
+			Regex:       op.Regex(),
+			Replacement: op.Replacement,
+			Source:      op.Source.String(),
+		}
+		if previewRows > 0 {
+			for _, p := range op.Preview(rows, previewRows) {
+				j.Preview = append(j.Preview, previewJSON{Input: p.Input, Output: p.Output})
+			}
+		}
+		for _, alt := range tr.Alternatives(i) {
+			j.Alternatives = append(j.Alternatives, alt.Replacement)
+		}
+		resp.Ops = append(resp.Ops, j)
+	}
+	for i, src := range tr.Sources() {
+		resp.Sources = append(resp.Sources, sessionSourceJSON{
+			Index:   i,
+			Pattern: src.String(),
+			Plans:   len(tr.RepairCandidates(i)),
+		})
+	}
+	_, resp.Flagged = tr.Run()
+	resp.Clean = tr.Clean()
+	return resp
+}
+
+// The label and repair responses count plans instead of scoring them and
+// find flagged rows without rendering the column; their bytes must equal
+// the reference rendering's on a large phone column, after an append, a
+// ranked pick and example feedback.
+func TestSessionLabelResponseMatchesReference(t *testing.T) {
+	st, err := progstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(st)
+	mux := srv.handler()
+
+	rows, _ := dataset.Phones(2000, 7, 21)
+	rows = append(rows, "N/A", "", "picture 001", "invoice 001", "picture 002", "invoice 002")
+	more, _ := dataset.Phones(200, 7, 22)
+	post := func(path string, v any) []byte {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, resp, _ := sessionRequest(t, mux, "POST", path, string(body), "s-ref")
+		if code/100 != 2 {
+			t.Fatalf("POST %s: %d %s", path, code, resp)
+		}
+		return resp
+	}
+	// check compares one response with the reference rendering of the
+	// session's current state, and pins the two facts the handler no
+	// longer computes the expensive way.
+	check := func(name string, got []byte, previewRows int) {
+		t.Helper()
+		hd, release, err := srv.sessions.Acquire("s-ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, referenceLabelResponse(hd, previewRows))
+		if !bytes.Equal(got, w.Body.Bytes()) {
+			t.Fatalf("%s: response differs from the reference\n got %s\nwant %s", name, got, w.Body.Bytes())
+		}
+		tr := hd.Transformation()
+		resp := mustJSON[sessionLabelResponse](t, got)
+		for i, src := range resp.Sources {
+			if want := len(tr.RepairCandidates(i)); src.Plans != want {
+				t.Errorf("%s: sources[%d].plans = %d, want %d", name, i, src.Plans, want)
+			}
+		}
+		if _, flagged := tr.Run(); !slices.Equal(resp.Flagged, flagged) {
+			t.Errorf("%s: flagged = %v, want Run's %v", name, resp.Flagged, flagged)
+		}
+		if len(resp.Flagged) == 0 || len(resp.Sources) < 3 {
+			t.Fatalf("%s: %d sources, %d flagged; the column should exercise both", name,
+				len(resp.Sources), len(resp.Flagged))
+		}
+	}
+
+	post("/v1/sessions", sessionCreateRequest{Rows: rows})
+	check("label", post("/v1/sessions/s-ref/label",
+		sessionLabelRequest{Target: "<D>3'-'<D>3'-'<D>4"}), 3)
+	post("/v1/sessions/s-ref/append", sessionAppendRequest{Rows: more})
+	zero := 0
+	check("relabel", post("/v1/sessions/s-ref/label",
+		sessionLabelRequest{Target: "<D>3'-'<D>3'-'<D>4", PreviewRows: &zero}), 0)
+	src := 1
+	check("pick", post("/v1/sessions/s-ref/repair",
+		sessionRepairRequest{Source: &src, Alt: 1}), 3)
+	check("examples", post("/v1/sessions/s-ref/repair", sessionRepairRequest{Examples: map[string]string{
+		"picture 001": "100-001-0000", "picture 002": "100-002-0000",
+		"invoice 001": "200-001-0000", "invoice 002": "200-002-0000",
+	}}), 3)
+}
+
+// BenchmarkLabelResponse20k times POST label on the large interactive
+// session — a 20k-row six-format phone column grown by a 1k-row append —
+// against an in-process daemon: synthesis plus the full label response.
+func BenchmarkLabelResponse20k(b *testing.B) {
+	st, err := progstore.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := newServer(st)
+	srv.opts.Workers = 1
+	mux := srv.handler()
+	rows, _ := dataset.Phones(20000, 6, 7919)
+	more, _ := dataset.Phones(1000, 6, 7920)
+	send := func(path string, v any) {
+		body, err := json.Marshal(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+		req.Header.Set("X-Session-ID", "s-bench")
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		if w.Code/100 != 2 {
+			b.Fatalf("POST %s: %d %s", path, w.Code, w.Body.Bytes())
+		}
+	}
+	send("/v1/sessions", sessionCreateRequest{Rows: rows})
+	send("/v1/sessions/s-bench/append", sessionAppendRequest{Rows: more})
+	label := sessionLabelRequest{Target: "<D>3'-'<D>3'-'<D>4"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send("/v1/sessions/s-bench/label", label)
 	}
 }

@@ -16,6 +16,7 @@ package rematch
 import (
 	"strings"
 	"sync"
+	"unsafe"
 
 	"clx/internal/token"
 )
@@ -129,7 +130,7 @@ func (c *Compiled) MatchInto(s string, buf []Span) ([]Span, bool) {
 		return buf, false
 	}
 	if len(c.toks) == 0 {
-		return buf, s == ""
+		return buf[:0], s == ""
 	}
 	if cap(buf) < len(c.toks) {
 		buf = make([]Span, len(c.toks))
@@ -155,6 +156,14 @@ func (c *Compiled) Matches(s string) bool {
 	ok := m.match(0, 0, m.scratch(len(c.toks)))
 	c.pool.Put(m)
 	return ok
+}
+
+// MatchesBytes is Matches over a byte slice, viewed in place rather than
+// copied into a string: the check for output rendered into a reused
+// buffer. b must not change during the call; the matcher keeps no use of
+// it afterwards.
+func (c *Compiled) MatchesBytes(b []byte) bool {
+	return c.Matches(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 // quick applies the precomputed rejects.

@@ -20,7 +20,8 @@
 // idle and is skipped, never blocked on. Deleting and evicting both
 // remove the handle from the map first and then mark it evicted under
 // its own lock, so an in-flight Acquire that already fetched the handle
-// observes the tombstone and reports the session gone. The clock is
+// observes the tombstone and reports the session gone. Whoever removes
+// the handle from the map counts it, exactly once. The clock is
 // injectable (Config.Now) so eviction is deterministic under test.
 //
 // Capacity. MaxSessions bounds the live set; Create past the bound
@@ -219,6 +220,13 @@ func (st *Store) Acquire(id string) (*Handle, func(), error) {
 
 // Delete removes the session id, waiting out any in-flight use. Returns
 // false if the id is unknown.
+//
+// Removing a handle from the map is the one point that counts it as
+// deleted or evicted: Delete counts only the handle it removed, and
+// Sweep removes (and counts) a handle only while the map still holds
+// that very handle. So a Delete racing a Sweep that already holds the
+// handle lock counts once, and a Sweep can never remove a newer session
+// re-created under the same id.
 func (st *Store) Delete(id string) bool {
 	st.mu.Lock()
 	h := st.m[id]
@@ -228,14 +236,13 @@ func (st *Store) Delete(id string) bool {
 		return false
 	}
 	h.mu.Lock()
-	h.evicted = true
-	h.sess = nil
-	h.tr = nil
-	h.meta = nil
+	flipped := h.tombstone()
 	h.mu.Unlock()
-	st.deleted.Add(1)
-	obsDeleted.Inc()
-	obsActive.Add(-1)
+	if flipped {
+		st.deleted.Add(1)
+		obsDeleted.Inc()
+		obsActive.Add(-1)
+	}
 	return true
 }
 
@@ -257,35 +264,55 @@ func (st *Store) Sweep() int {
 		}
 	}
 	st.mu.RUnlock()
-	if len(expired) == 0 {
-		return 0
-	}
 
 	n := 0
 	for _, h := range expired {
 		if !h.mu.TryLock() {
 			continue // in use right now — by definition not idle
 		}
-		// Re-check under the lock: the use that just released it may have
-		// refreshed the idle clock, and a concurrent Delete may have won.
-		if h.evicted || h.lastUsed.Load() > cutoff {
-			h.mu.Unlock()
-			continue
+		if st.evictLocked(h, cutoff) {
+			n++
 		}
-		st.mu.Lock()
-		delete(st.m, h.id)
-		st.mu.Unlock()
-		h.evicted = true
-		h.sess = nil
-		h.tr = nil
-		h.meta = nil
 		h.mu.Unlock()
-		n++
-		st.evicted.Add(1)
-		obsEvicted.Inc()
-		obsActive.Add(-1)
 	}
 	return n
+}
+
+// evictLocked evicts h if it is still idle past cutoff and still the
+// map's entry for its id. Caller holds h.mu.
+func (st *Store) evictLocked(h *Handle, cutoff int64) bool {
+	// Re-check under the lock: the use that just released it may have
+	// refreshed the idle clock.
+	if h.evicted || h.lastUsed.Load() > cutoff {
+		return false
+	}
+	st.mu.Lock()
+	if st.m[h.id] != h {
+		// A Delete removed (and counts) h after the scan collected it;
+		// the id may already name a new session.
+		st.mu.Unlock()
+		return false
+	}
+	delete(st.m, h.id)
+	st.mu.Unlock()
+	h.tombstone()
+	st.evicted.Add(1)
+	obsEvicted.Inc()
+	obsActive.Add(-1)
+	return true
+}
+
+// tombstone marks h gone and drops its state, reporting whether this
+// call did the marking. Caller holds h.mu.
+func (h *Handle) tombstone() bool {
+	if h.evicted {
+		return false
+	}
+	h.evicted = true
+	h.sess = nil
+	h.tr = nil
+	h.meta = nil
+	return true
 }
 
 // maybeSweep runs Sweep at most once per TTL/4, so the scan cost

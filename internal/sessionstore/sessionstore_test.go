@@ -3,6 +3,7 @@ package sessionstore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -275,6 +276,87 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if c.Active != live {
 		t.Errorf("Stats().Active = %d, Len = %d", c.Active, live)
+	}
+}
+
+// sweepHolding replays the window the Delete/Sweep races live in: a
+// Sweep has collected h as expired and won its TryLock (the test holds
+// h.mu in its place) when a Delete of the same id removes h from the map
+// and blocks on the handle lock. between runs inside that window; the
+// sweep's eviction step then runs, the lock is released, and the Delete
+// finishes.
+func sweepHolding(t *testing.T, st *Store, clk *fakeClock, h *Handle, between func()) (evicted bool) {
+	t.Helper()
+	clk.Advance(2 * time.Hour)
+	cutoff := clk.Now().Add(-st.cfg.TTL).UnixNano()
+	h.mu.Lock()
+	deleted := make(chan bool)
+	go func() { deleted <- st.Delete(h.ID()) }()
+	// Delete takes the map entry before the handle lock; wait for that
+	// without sleeping.
+	for {
+		st.mu.RLock()
+		gone := st.m[h.ID()] != h
+		st.mu.RUnlock()
+		if gone {
+			break
+		}
+		runtime.Gosched()
+	}
+	between()
+	evicted = st.evictLocked(h, cutoff)
+	h.mu.Unlock()
+	if !<-deleted {
+		t.Error("Delete of a live session returned false")
+	}
+	return evicted
+}
+
+// A Delete that lands while a Sweep holds the handle lock is counted once,
+// as a deletion: the sweep no longer finds the handle in the map.
+func TestDeleteDuringSweepCountsOnce(t *testing.T) {
+	clk := newFakeClock()
+	st := New(Config{TTL: time.Hour, Now: clk.Now})
+	h, err := st.Create("s-x", rows, clx.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweepHolding(t, st, clk, h, func() {}) {
+		t.Error("sweep evicted a handle Delete had already removed")
+	}
+	c := st.Stats()
+	if c.Created != 1 || c.Deleted != 1 || c.Evicted != 0 || c.Active != 0 || st.Len() != 0 {
+		t.Errorf("counters = %+v, Len = %d; want one create, one delete, nothing live", c, st.Len())
+	}
+}
+
+// A session re-created under the same pinned id while a Sweep still holds
+// the old handle survives the sweep: the sweep removes only its own
+// handle from the map.
+func TestSweepSparesRecreatedSession(t *testing.T) {
+	clk := newFakeClock()
+	st := New(Config{TTL: time.Hour, Now: clk.Now})
+	old, err := st.Create("s-pin", rows, clx.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh *Handle
+	evicted := sweepHolding(t, st, clk, old, func() {
+		if fresh, err = st.Create("s-pin", rows, clx.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if evicted {
+		t.Error("sweep evicted through a stale handle")
+	}
+	got, release, err := st.Acquire("s-pin")
+	if err != nil || got != fresh {
+		t.Fatalf("re-created session lost to the sweep: got %p (%v), want %p", got, err, fresh)
+	}
+	release()
+	c := st.Stats()
+	if c.Created != 2 || c.Deleted != 1 || c.Evicted != 0 || c.Active != 1 || st.Len() != 1 {
+		t.Errorf("counters = %+v, Len = %d; want two creates, one delete, one live", c, st.Len())
 	}
 }
 

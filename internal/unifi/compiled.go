@@ -70,6 +70,9 @@ type compiledGuardedCase struct {
 	source  pattern.Pattern
 	guard   Guard
 	plan    Plan
+	// fits reports that the plan evaluates over this case's matches (see
+	// Plan.fits); a case that matches but does not fit fails Apply.
+	fits bool
 }
 
 // spanGuard is implemented by guards that can be evaluated against the
@@ -94,6 +97,7 @@ func (gp GuardedProgram) Compile() *CompiledGuardedProgram {
 			source:  c.Source,
 			guard:   c.Guard,
 			plan:    c.Plan,
+			fits:    c.Plan.fits(c.Source.Len()),
 		}
 	}
 	return cp
@@ -104,26 +108,11 @@ func (gp GuardedProgram) Compile() *CompiledGuardedProgram {
 func (cp *CompiledGuardedProgram) Apply(s string) (string, error) {
 	bp := spanBufs.Get().(*[]rematch.Span)
 	defer spanBufs.Put(bp)
-	for _, c := range cp.cases {
-		spans, ok := c.matcher.MatchInto(s, *bp)
-		if cap(spans) > cap(*bp) {
-			*bp = spans
-		}
-		if !ok {
-			continue
-		}
-		if c.guard != nil {
-			if sg, ok := c.guard.(spanGuard); ok {
-				if !sg.holdsSpans(s, spans) {
-					continue
-				}
-			} else if !c.guard.Holds(c.source, s) {
-				continue
-			}
-		}
-		return c.plan.applySpans(s, spans)
+	c, spans := cp.pick(s, bp)
+	if c == nil {
+		return "", ErrNoMatch
 	}
-	return "", ErrNoMatch
+	return c.plan.applySpans(s, spans)
 }
 
 // AppendApply transforms s exactly as Apply does but appends the result to
@@ -134,7 +123,28 @@ func (cp *CompiledGuardedProgram) Apply(s string) (string, error) {
 func (cp *CompiledGuardedProgram) AppendApply(dst []byte, s string) ([]byte, error) {
 	bp := spanBufs.Get().(*[]rematch.Span)
 	defer spanBufs.Put(bp)
-	for _, c := range cp.cases {
+	c, spans := cp.pick(s, bp)
+	if c == nil {
+		return dst, ErrNoMatch
+	}
+	return c.plan.AppendSpans(dst, s, spans)
+}
+
+// Covers reports whether Apply(s) succeeds, without rendering the
+// output: some case matches, its guard holds, and its plan fits the
+// match. Rows it rejects are exactly the rows Apply flags.
+func (cp *CompiledGuardedProgram) Covers(s string) bool {
+	bp := spanBufs.Get().(*[]rematch.Span)
+	defer spanBufs.Put(bp)
+	c, _ := cp.pick(s, bp)
+	return c != nil && c.fits
+}
+
+// pick returns the first case whose pattern matches s and whose guard
+// holds, with the match spans (in *bp's storage), or nil when none does.
+func (cp *CompiledGuardedProgram) pick(s string, bp *[]rematch.Span) (*compiledGuardedCase, []rematch.Span) {
+	for i := range cp.cases {
+		c := &cp.cases[i]
 		spans, ok := c.matcher.MatchInto(s, *bp)
 		if cap(spans) > cap(*bp) {
 			*bp = spans
@@ -151,9 +161,9 @@ func (cp *CompiledGuardedProgram) AppendApply(dst []byte, s string) ([]byte, err
 				continue
 			}
 		}
-		return c.plan.appendSpans(dst, s, spans)
+		return c, spans
 	}
-	return dst, ErrNoMatch
+	return nil, nil
 }
 
 // applySpans evaluates the plan over precomputed match spans. A sizing
@@ -190,8 +200,12 @@ func (p Plan) applySpans(s string, spans []rematch.Span) (string, error) {
 	return b.String(), nil
 }
 
-// appendSpans is applySpans into a caller-owned buffer.
-func (p Plan) appendSpans(dst []byte, s string, spans []rematch.Span) ([]byte, error) {
+// AppendSpans is the plan evaluated over precomputed match spans of s,
+// appended to a caller-owned buffer: the same output and errors as Apply
+// when spans come from matching s against the plan's source pattern.
+// Callers scoring many plans over one match reuse both the spans and the
+// buffer.
+func (p Plan) AppendSpans(dst []byte, s string, spans []rematch.Span) ([]byte, error) {
 	for _, op := range p.Ops {
 		switch op := op.(type) {
 		case ConstStr:
@@ -207,4 +221,22 @@ func (p Plan) appendSpans(dst []byte, s string, spans []rematch.Span) ([]byte, e
 		}
 	}
 	return dst, nil
+}
+
+// fits reports whether the plan evaluates over a match of an n-token
+// source pattern — exactly when applySpans and AppendSpans succeed on
+// such a match, whose span count is always n.
+func (p Plan) fits(n int) bool {
+	for _, op := range p.Ops {
+		switch op := op.(type) {
+		case ConstStr:
+		case Extract:
+			if op.I < 1 || op.J > n || op.I > op.J {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }

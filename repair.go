@@ -26,6 +26,7 @@ import (
 
 	"clx/internal/rematch"
 	"clx/internal/replace"
+	"clx/internal/synth"
 	"clx/internal/token"
 	"clx/internal/unifi"
 )
@@ -68,24 +69,10 @@ func (t *Transformation) RepairCandidates(i int) []RepairCandidate {
 		return nil
 	}
 	src := t.res.Sources[i]
-	target := rematch.CompileCached(t.res.Target.Tokens())
-	// The source's rows, from the snapshot the transformation was labeled
-	// against. Rows already in the target pattern are untouched by Run,
-	// so they are excluded from the residual count.
-	var rows []string
-	if src.Node != nil {
-		for _, c := range src.Node.Leaves {
-			for _, ri := range c.Rows {
-				if v := t.data[ri]; !target.Matches(v) {
-					rows = append(rows, v)
-				}
-			}
-		}
-	}
 	cur := planOps(src.Plans[src.Chosen].Plan, src.Source)
-	out := make([]RepairCandidate, 0, len(src.Plans))
+	out := make([]RepairCandidate, len(src.Plans))
 	for j, r := range src.Plans {
-		c := RepairCandidate{
+		out[j] = RepairCandidate{
 			Source:       i,
 			Alt:          j,
 			Op:           replace.ExplainCase(unifi.Case{Source: src.Source, Plan: r.Plan}),
@@ -93,14 +80,11 @@ func (t *Transformation) RepairCandidates(i int) []RepairCandidate {
 			EditDistance: editDistance(cur, planOps(r.Plan, src.Source)),
 			Selected:     j == src.Chosen,
 		}
-		for _, v := range rows {
-			got, err := r.Plan.Apply(src.Source, v)
-			if err != nil || !target.Matches(got) {
-				c.Residual++
-			}
-		}
+	}
+	t.countResiduals(src, out)
+	for j := range out {
+		c := &out[j]
 		c.Score = float64(c.Residual)*1000 + float64(c.EditDistance) + c.DL/1e4
-		out = append(out, c)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		x, y := out[a], out[b]
@@ -116,6 +100,48 @@ func (t *Transformation) RepairCandidates(i int) []RepairCandidate {
 		return x.Alt < y.Alt
 	})
 	return out
+}
+
+// countResiduals sets cands[j].Residual to the number of the source's
+// snapshot rows that plan j leaves outside the target. Rows already in
+// the target (the synthesis-time clean set) are untouched by Run and do
+// not count. Each row is matched against the source pattern once, and
+// every plan renders from those shared spans into one reused buffer; a
+// row the source does not match, or a plan that errors, counts as
+// residual, as Plan.Apply's error would.
+func (t *Transformation) countResiduals(src *synth.SourceSynthesis, cands []RepairCandidate) {
+	if src.Node == nil {
+		return
+	}
+	clean := make([]bool, len(t.data))
+	for _, ri := range t.res.CleanRows {
+		clean[ri] = true
+	}
+	source := rematch.CompileCached(src.Source.Tokens())
+	target := rematch.CompileCached(t.res.Target.Tokens())
+	var (
+		spans []rematch.Span
+		buf   []byte
+	)
+	for _, c := range src.Node.Leaves {
+		for _, ri := range c.Rows {
+			if clean[ri] {
+				continue
+			}
+			v := t.data[ri]
+			var ok bool
+			spans, ok = source.MatchInto(v, spans[:0])
+			for j, r := range src.Plans {
+				if ok {
+					var err error
+					if buf, err = r.Plan.AppendSpans(buf[:0], v, spans); err == nil && target.MatchesBytes(buf) {
+						continue
+					}
+				}
+				cands[j].Residual++
+			}
+		}
+	}
 }
 
 // planOps renders a plan as its sequence of single-token effects — the
