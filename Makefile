@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: test race gate cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke flake-check
+.PHONY: test race gate fmt-check cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke flake-check
 
 # Tier-1: vet + build + unit tests (ROADMAP.md contract).
 test:
@@ -18,11 +18,15 @@ test:
 race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
-# Full gate: tier-1, race tier, per-package coverage floors, a
-# 10s-per-target fuzz smoke over the seed corpora, the automaton-vs-
-# reference apply-parity smoke, the metrics-overhead smoke test, the
-# load-harness smoke, and the cluster smoke.
-gate: test race cover fuzz-smoke apply-parity profile-parity obs-smoke load-smoke cluster-smoke session-smoke
+# Full gate: gofmt cleanliness, tier-1, race tier, per-package coverage
+# floors, a 10s-per-target fuzz smoke over the seed corpora, the
+# automaton-vs-reference apply-parity smoke, the metrics-overhead smoke
+# test, the load-harness smoke, and the cluster smoke.
+gate: fmt-check test race cover fuzz-smoke apply-parity profile-parity obs-smoke load-smoke cluster-smoke session-smoke
+
+# Formatting: every Go file in the tree must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Apply-parity smoke: the byte-automaton engine must produce byte-identical
 # output (rows, flagged indices, errors) to the retained backtracking

@@ -568,3 +568,75 @@ func BenchmarkSavedProgramApply(b *testing.B) {
 		sp.Apply(rows[i%len(rows)])
 	}
 }
+
+// suiteLabelColumns are the 47 benchmark-suite sessions, profiled on one
+// worker, each with the target a simulated user picks from the desired
+// outputs.
+func suiteLabelColumns(b *testing.B) (sessions []*clx.Session, targets []clx.Pattern) {
+	b.Helper()
+	opts := clx.DefaultOptions()
+	opts.Workers = 1
+	for _, t := range benchsuite.Tasks() {
+		sessions = append(sessions, clx.NewSession(t.Inputs, opts))
+		targets = append(targets, simuser.SelectTargets(t.Inputs, t.Outputs)[0])
+	}
+	return sessions, targets
+}
+
+// BenchmarkLabelSuite labels every suite session and renders what the
+// label response shows per Replace operation: its preview rows and the
+// ranked alternatives of the source it serves (one op = 47 labels).
+func BenchmarkLabelSuite(b *testing.B) {
+	sessions, targets := suiteLabelColumns(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s, sess := range sessions {
+			tr, err := sess.Label(targets[s])
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, op := range tr.Replaces() {
+				tr.Preview(op, 3)
+				tr.Alternatives(op.SourceIndex)
+			}
+		}
+	}
+}
+
+// BenchmarkTopK ranks the plans of the suite's largest alignment DAG (the
+// most candidate operators over all validated sources and targets) with
+// the pool synthesis asks for at the default K.
+func BenchmarkTopK(b *testing.B) {
+	var (
+		best *align.DAG
+		src  pattern.Pattern
+		size int
+	)
+	for _, t := range benchsuite.Tasks() {
+		h := cluster.Profile(t.Inputs, cluster.DefaultOptions())
+		for _, target := range simuser.SelectTargets(t.Inputs, t.Outputs) {
+			for _, level := range h.Levels {
+				for _, n := range level {
+					if !synth.Validate(n.Pattern, target, false) {
+						continue
+					}
+					d := align.Align(target, n.Pattern)
+					ops := 0
+					for _, es := range d.Ops {
+						ops += len(es)
+					}
+					if d.Complete() && ops > size {
+						best, src, size = d, n.Pattern, ops
+					}
+				}
+			}
+		}
+	}
+	k := synth.DefaultOptions().K * 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mdl.TopK(best, src, k)
+	}
+}

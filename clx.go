@@ -419,14 +419,20 @@ func (t *Transformation) Sources() []Pattern {
 
 // Replaces returns the program as Replace operations (paper Fig. 4), one
 // per source pattern — or one per guarded case for sources repaired with
-// examples, each annotated with its condition.
+// examples, each annotated with its condition. Each op's SourceIndex names
+// the source it serves, whose Alternatives are its repair choices: a
+// source repaired with examples serves several ops, so op and source
+// indices differ after one. Guarded cases of a pattern no source covers
+// serve none (-1).
 func (t *Transformation) Replaces() replace.Program {
+	gp, sources := t.guardedProgram()
 	var out replace.Program
-	for _, c := range t.guardedProgram().Cases {
+	for k, c := range gp.Cases {
 		op := replace.ExplainCase(unifi.Case{Source: c.Source, Plan: c.Plan})
 		if c.Guard != nil {
 			op.Where = c.Guard.String()
 		}
+		op.SourceIndex = sources[k]
 		out = append(out, op)
 	}
 	return out
@@ -454,7 +460,7 @@ func (t *Transformation) Program() unifi.Program { return t.res.Program() }
 
 // Alternatives returns the ranked alternative plans for source i as
 // Replace operations, best first; Alternatives(i)[0] is the plan in effect
-// by default.
+// by default. Each carries SourceIndex i.
 func (t *Transformation) Alternatives(i int) []replace.Op {
 	if i < 0 || i >= len(t.res.Sources) {
 		return nil
@@ -463,6 +469,7 @@ func (t *Transformation) Alternatives(i int) []replace.Op {
 	out := make([]replace.Op, len(src.Plans))
 	for j, r := range src.Plans {
 		out[j] = replace.ExplainCase(unifi.Case{Source: src.Source, Plan: r.Plan})
+		out[j].SourceIndex = i
 	}
 	return out
 }
@@ -525,17 +532,24 @@ func (t *Transformation) RepairWithExamples(examples map[string]string) error {
 
 // guardedProgram assembles the program with any guarded overrides: guarded
 // cases replace same-pattern unconditional sources and otherwise extend the
-// program.
-func (t *Transformation) guardedProgram() unifi.GuardedProgram {
-	var gp unifi.GuardedProgram
-	used := make(map[string]bool)
-	for _, s := range t.res.Sources {
-		if cases, ok := t.guards[s.Source.Key()]; ok {
-			gp.Cases = append(gp.Cases, cases...)
-			used[s.Source.Key()] = true
-			continue
+// program. sources[k] is the index of the source case k serves, or -1 for
+// a guarded case extending the program.
+func (t *Transformation) guardedProgram() (gp unifi.GuardedProgram, sources []int) {
+	used := make(map[string]bool, len(t.guards))
+	for i, s := range t.res.Sources {
+		// Only a guarded transformation needs the (rendered) pattern key.
+		if len(t.guards) > 0 {
+			if cases, ok := t.guards[s.Source.Key()]; ok {
+				gp.Cases = append(gp.Cases, cases...)
+				for range cases {
+					sources = append(sources, i)
+				}
+				used[s.Source.Key()] = true
+				continue
+			}
 		}
 		gp.Cases = append(gp.Cases, unifi.GuardedCase{Source: s.Source, Plan: s.Plan()})
+		sources = append(sources, i)
 	}
 	var extra []string
 	for k := range t.guards {
@@ -546,8 +560,11 @@ func (t *Transformation) guardedProgram() unifi.GuardedProgram {
 	sort.Strings(extra)
 	for _, k := range extra {
 		gp.Cases = append(gp.Cases, t.guards[k]...)
+		for range t.guards[k] {
+			sources = append(sources, -1)
+		}
 	}
-	return gp
+	return gp, sources
 }
 
 // Run applies the transformation to the session's column. Rows already in
@@ -559,7 +576,7 @@ func (t *Transformation) Run() (out []string, flagged []int) {
 	if len(t.guards) == 0 {
 		return t.res.Transform()
 	}
-	prog := t.guardedProgram()
+	prog, _ := t.guardedProgram()
 	target := rematch.CompileCached(t.res.Target.Tokens())
 	data := t.data
 	out = make([]string, len(data))
@@ -587,7 +604,8 @@ func (t *Transformation) Run() (out []string, flagged []int) {
 // and every other row is only dispatched through the compiled program —
 // guards and plan checks included — to see whether some case covers it.
 func (t *Transformation) Flagged() []int {
-	prog := t.guardedProgram().Compile()
+	gp, _ := t.guardedProgram()
+	prog := gp.Compile()
 	clean, data := t.res.CleanRows, t.data
 	return parallel.Gather(t.sess.opts.Workers, len(data), func(lo, hi int, emit func(int)) {
 		// clean is ascending: walk it alongside the shard's rows.
@@ -617,7 +635,8 @@ func (t *Transformation) Apply(s string) (string, bool) {
 	if len(t.guards) == 0 {
 		out, err = t.res.Program().Apply(s)
 	} else {
-		out, err = t.guardedProgram().Apply(s)
+		gp, _ := t.guardedProgram()
+		out, err = gp.Apply(s)
 	}
 	if err != nil {
 		return s, false

@@ -226,7 +226,7 @@ func (s *server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		previewRows = *req.PreviewRows
 	}
 	resp := transformResponse{}
-	for i, op := range tr.Replaces() {
+	for _, op := range tr.Replaces() {
 		j := opJSON{
 			NL:          op.NLRegex(),
 			Regex:       op.Regex(),
@@ -238,7 +238,7 @@ func (s *server) handleTransform(w http.ResponseWriter, r *http.Request) {
 				j.Preview = append(j.Preview, previewJSON{Input: p.Input, Output: p.Output})
 			}
 		}
-		for _, alt := range tr.Alternatives(i) {
+		for _, alt := range tr.Alternatives(op.SourceIndex) {
 			j.Alternatives = append(j.Alternatives, alt.Replacement)
 		}
 		resp.Ops = append(resp.Ops, j)

@@ -286,7 +286,7 @@ func (s *server) handleSessionLabel(w http.ResponseWriter, r *http.Request) {
 func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionLabelResponse {
 	tr := h.Transformation()
 	resp := sessionLabelResponse{Generation: tr.Generation()}
-	for i, op := range tr.Replaces() {
+	for _, op := range tr.Replaces() {
 		j := opJSON{
 			NL:          op.NLRegex(),
 			Regex:       op.Regex(),
@@ -298,7 +298,7 @@ func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionL
 				j.Preview = append(j.Preview, previewJSON{Input: p.Input, Output: p.Output})
 			}
 		}
-		for _, alt := range tr.Alternatives(i) {
+		for _, alt := range tr.Alternatives(op.SourceIndex) {
 			j.Alternatives = append(j.Alternatives, alt.Replacement)
 		}
 		resp.Ops = append(resp.Ops, j)

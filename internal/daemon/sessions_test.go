@@ -17,9 +17,13 @@ import (
 	"time"
 
 	clx "clx"
+	"clx/internal/benchsuite"
+	"clx/internal/cluster"
 	"clx/internal/dataset"
+	"clx/internal/pattern"
 	"clx/internal/progstore"
 	"clx/internal/sessionstore"
+	"clx/internal/simuser"
 )
 
 // sessionRequest is the request helper plus the X-Session-ID pinning
@@ -375,12 +379,13 @@ func TestSessionValidation(t *testing.T) {
 // referenceLabelResponse renders the label/repair response the way the
 // handler first did: previews from a copy of the session column, every
 // source scored by RepairCandidates only to count its plans, and the
-// flagged rows taken from a full Run.
+// flagged rows taken from a full Run. Each op lists the alternatives of
+// the first source with the op's pattern (none when no source has it).
 func referenceLabelResponse(h *sessionstore.Handle, previewRows int) sessionLabelResponse {
 	tr := h.Transformation()
 	rows := h.Session().Data()
 	resp := sessionLabelResponse{Generation: tr.Generation()}
-	for i, op := range tr.Replaces() {
+	for _, op := range tr.Replaces() {
 		j := opJSON{
 			NL:          op.NLRegex(),
 			Regex:       op.Regex(),
@@ -392,7 +397,8 @@ func referenceLabelResponse(h *sessionstore.Handle, previewRows int) sessionLabe
 				j.Preview = append(j.Preview, previewJSON{Input: p.Input, Output: p.Output})
 			}
 		}
-		for _, alt := range tr.Alternatives(i) {
+		owner := slices.IndexFunc(tr.Sources(), op.Source.Equal)
+		for _, alt := range tr.Alternatives(owner) {
 			j.Alternatives = append(j.Alternatives, alt.Replacement)
 		}
 		resp.Ops = append(resp.Ops, j)
@@ -516,5 +522,178 @@ func BenchmarkLabelResponse20k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		send("/v1/sessions/s-bench/label", label)
+	}
+}
+
+// checkResponseAlternatives is the op→source oracle over a label or
+// repair response: the alternatives listed under each op are, in rank
+// order, the replacements of the plans of a source with the op's pattern
+// — read from that source's scored candidates (GET .../repair), which
+// share no code with the label response — and none when no source has
+// the op's pattern. It returns how many ops listed alternatives.
+func checkResponseAlternatives(t *testing.T, mux http.Handler, id, name string, body []byte) int {
+	t.Helper()
+	resp := mustJSON[sessionLabelResponse](t, body)
+	listed := 0
+	for k, op := range resp.Ops {
+		owned, matched := false, false
+		for _, src := range resp.Sources {
+			if src.Pattern != op.Source {
+				continue
+			}
+			owned = true
+			code, cb, _ := sessionRequest(t, mux, "GET",
+				fmt.Sprintf("/v1/sessions/%s/repair?source=%d", id, src.Index), "", "")
+			if code != http.StatusOK {
+				t.Fatalf("%s: repair candidates of source %d: %d %s", name, src.Index, code, cb)
+			}
+			cands := mustJSON[repairCandidatesResponse](t, cb).Candidates
+			want := make([]string, len(cands))
+			for _, c := range cands {
+				want[c.Alt] = c.Replacement
+			}
+			matched = matched || slices.Equal(op.Alternatives, want)
+		}
+		switch {
+		case !owned && len(op.Alternatives) != 0:
+			t.Fatalf("%s: op %d (%s) serves no source but lists %v", name, k, op.Source, op.Alternatives)
+		case owned && !matched:
+			t.Fatalf("%s: op %d (%s) lists %v, not the plans of a source with its pattern",
+				name, k, op.Source, op.Alternatives)
+		case owned:
+			listed++
+		}
+	}
+	return listed
+}
+
+// suiteExamples picks example feedback for a suite column: up to four
+// rows of the first input format with at least two distinct rows that
+// need changing, with their desired outputs.
+func suiteExamples(inputs, outputs []string) map[string]string {
+	byFormat := make(map[string]map[string]string)
+	var order []string
+	for i, in := range inputs {
+		if in == outputs[i] {
+			continue
+		}
+		k := cluster.Generalize(pattern.FromString(in), cluster.QuantToPlus).Key()
+		if byFormat[k] == nil {
+			byFormat[k] = make(map[string]string)
+			order = append(order, k)
+		}
+		if len(byFormat[k]) < 4 {
+			byFormat[k][in] = outputs[i]
+		}
+	}
+	for _, k := range order {
+		if len(byFormat[k]) >= 2 {
+			return byFormat[k]
+		}
+	}
+	return nil
+}
+
+// Every op of a label or repair response lists the alternatives of the
+// source it serves: over the 47-task suite after labeling, a ranked pick
+// and example feedback, and on a keyword column where example feedback
+// splits the first of three sources into two guarded ops.
+func TestSessionAlternativesServeTheirOpsSource(t *testing.T) {
+	mux := testMux(t)
+	post := func(id, path string, v any) ([]byte, bool) {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, resp, _ := sessionRequest(t, mux, "POST", path, string(body), id)
+		return resp, code/100 == 2
+	}
+	listed, repaired := 0, 0
+	for n, task := range benchsuite.Tasks() {
+		id := fmt.Sprintf("s-alt-%02d", n)
+		base := "/v1/sessions/" + id
+		if _, ok := post(id, "/v1/sessions", sessionCreateRequest{Rows: task.Inputs}); !ok {
+			t.Fatalf("%s: create failed", task.Name)
+		}
+		target := simuser.SelectTargets(task.Inputs, task.Outputs)[0].String()
+		body, ok := post(id, base+"/label", sessionLabelRequest{Target: target})
+		if !ok {
+			t.Fatalf("%s: label failed: %s", task.Name, body)
+		}
+		listed += checkResponseAlternatives(t, mux, id, task.Name+"/label", body)
+		resp := mustJSON[sessionLabelResponse](t, body)
+		if len(resp.Sources) > 0 {
+			src := len(resp.Sources) - 1
+			body, ok = post(id, base+"/repair", sessionRepairRequest{Source: &src, Alt: resp.Sources[src].Plans - 1})
+			if !ok {
+				t.Fatalf("%s: pick failed: %s", task.Name, body)
+			}
+			listed += checkResponseAlternatives(t, mux, id, task.Name+"/pick", body)
+		}
+		if ex := suiteExamples(task.Inputs, task.Outputs); ex != nil {
+			if body, ok = post(id, base+"/repair", sessionRepairRequest{Examples: ex}); ok {
+				listed += checkResponseAlternatives(t, mux, id, task.Name+"/examples", body)
+				repaired++
+			}
+		}
+	}
+	if listed < 100 || repaired < 20 {
+		t.Errorf("%d ops listed alternatives over %d example repairs; want the whole suite", listed, repaired)
+	}
+
+	rows := []string{
+		"picture 001", "invoice 001", "picture 002", "invoice 002",
+		"pic/003", "doc/004", "pic.005", "doc.006",
+	}
+	post("s-pic", "/v1/sessions", sessionCreateRequest{Rows: rows})
+	post("s-pic", "/v1/sessions/s-pic/label", sessionLabelRequest{Target: "<L>+'-'<D>+"})
+	body, ok := post("s-pic", "/v1/sessions/s-pic/repair", sessionRepairRequest{Examples: map[string]string{
+		"picture 001": "pic-001", "picture 002": "pic-002",
+		"invoice 001": "doc-001", "invoice 002": "doc-002",
+	}})
+	if !ok {
+		t.Fatalf("picture examples: %s", body)
+	}
+	resp := mustJSON[sessionLabelResponse](t, body)
+	if len(resp.Sources) != 3 || len(resp.Ops) != 4 {
+		t.Fatalf("picture column: %d ops over %d sources, want the first of three split in two",
+			len(resp.Ops), len(resp.Sources))
+	}
+	if got := checkResponseAlternatives(t, mux, "s-pic", "picture", body); got != 4 {
+		t.Fatalf("picture column: %d of 4 ops list alternatives", got)
+	}
+}
+
+// BenchmarkRegister times one POST /v1/programs — profile, synthesize
+// with labeling's ranking, export and register — of a 200-row
+// seven-format phone column, re-registered over 16 ids against an
+// in-memory registry, on one worker.
+func BenchmarkRegister(b *testing.B) {
+	st, err := progstore.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := newServer(st)
+	srv.opts.Workers = 1
+	mux := srv.handler()
+	rows, _ := dataset.Phones(200, 7, 4242)
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		if bodies[i], err = json.Marshal(registerRequest{
+			Rows: rows, Target: "<D>3'-'<D>3'-'<D>4", ID: fmt.Sprintf("reg-%02d", i),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest("POST", "/v1/programs", bytes.NewReader(bodies[i%16]))
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		if w.Code/100 != 2 {
+			b.Fatalf("register: %d %s", w.Code, w.Body.Bytes())
+		}
 	}
 }

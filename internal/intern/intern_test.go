@@ -201,11 +201,11 @@ func TestHashString(t *testing.T) {
 		{"", "a"},
 		{"a", "b"},
 		{"ab", "ba"},
-		{"12345678", "123456789"},            // boundary of the 8-byte fold
-		{"abcdefghX", "abcdefghY"},           // tail byte beyond the fold
-		{"line1\nline2", "line1\r\nline2"},   // CRLF vs LF
-		{"café", "café"},               // composed vs decomposed UTF-8
-		{"日本", "日木"},                         // multi-byte, one byte apart
+		{"12345678", "123456789"},          // boundary of the 8-byte fold
+		{"abcdefghX", "abcdefghY"},         // tail byte beyond the fold
+		{"line1\nline2", "line1\r\nline2"}, // CRLF vs LF
+		{"café", "café"},                  // composed vs decomposed UTF-8
+		{"日本", "日木"},                       // multi-byte, one byte apart
 	}
 	for _, p := range pairs {
 		if HashString(p[0]) == HashString(p[1]) {

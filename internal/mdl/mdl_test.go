@@ -2,10 +2,12 @@ package mdl
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"clx/internal/align"
 	"clx/internal/pattern"
+	"clx/internal/token"
 	"clx/internal/unifi"
 )
 
@@ -179,4 +181,45 @@ func TestTopKMatchesExhaustive(t *testing.T) {
 		t.Errorf("TopK returned %d plans, want %d (exhaustive found %d)",
 			len(ranked), want, len(all))
 	}
+}
+
+// fuzzPattern decodes bytes into a small token pattern: each byte picks a
+// base class or one of a few literals, and a quantifier (Plus or 1–3).
+func fuzzPattern(b []byte) pattern.Pattern {
+	if len(b) > 7 {
+		b = b[:7]
+	}
+	lits := [...]string{"-", "/", "ab"}
+	toks := make([]token.Token, 0, len(b))
+	for _, x := range b {
+		q := int(x>>3) % 4
+		if q == 0 {
+			q = token.Plus
+		}
+		if kind := int(x % 8); kind < 5 {
+			toks = append(toks, token.Base(token.BaseClasses[kind], q))
+		} else {
+			t := token.Lit(lits[kind-5])
+			t.Quant = q
+			toks = append(toks, t)
+		}
+	}
+	return pattern.Of(toks...)
+}
+
+// FuzzTopKVsReference aligns random small source and target patterns and
+// checks that TopK returns exactly the reference enumeration's ranking.
+func FuzzTopKVsReference(f *testing.F) {
+	f.Add([]byte{1, 5, 9, 6, 17}, []byte{1, 5, 9}, uint8(12))
+	f.Add([]byte{2, 0x21, 3, 0x0d}, []byte{3, 0x0d, 2}, uint8(1))
+	f.Add([]byte{9, 9, 9, 7, 9}, []byte{9, 7, 9, 9}, uint8(96))
+	f.Add([]byte{0x19, 5, 0x11, 5, 0x21}, []byte{0x21, 6, 0x11, 6, 0x19}, uint8(3))
+	f.Fuzz(func(t *testing.T, srcBytes, tgtBytes []byte, k uint8) {
+		src, tgt := fuzzPattern(srcBytes), fuzzPattern(tgtBytes)
+		d := align.Align(tgt, src)
+		got, want := TopK(d, src, int(k)), referenceTopK(d, src, int(k))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("source %s, target %s, k=%d:\n got %v\nwant %v", src, tgt, k, got, want)
+		}
+	})
 }

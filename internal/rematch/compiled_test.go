@@ -137,3 +137,32 @@ func TestMatchInto(t *testing.T) {
 		t.Errorf("MatchInto did not reuse the caller buffer: ok=%v len=%d cap=%d", ok, len(got), cap(got))
 	}
 }
+
+// A compiled pattern expands its repeated literals ('/'3) once: matching
+// with a reused span buffer allocates nothing per call, for subjects that
+// match, fail inside the pattern, and fail the quick checks. (Runs of
+// '-' or ' ' would not show a per-call expansion: strings.Repeat serves
+// short ones from a static buffer.)
+func TestMatchIntoRepeatedLiteralAllocsNothing(t *testing.T) {
+	slashes := token.Token{Class: token.Literal, Lit: "/", Quant: 3}
+	p := []token.Token{
+		token.Base(token.Digit, 3), slashes, token.Base(token.Upper, token.Plus),
+		token.Token{Class: token.Literal, Lit: "ab", Quant: 2}, token.Base(token.Digit, 2),
+	}
+	c := Compile(p)
+	subjects := []string{"123///ABabab45", "123//ABabab45", "123///ABab45", "123///A"}
+	if _, ok := Match(p, subjects[0]); !ok {
+		t.Fatalf("%q does not match %v", subjects[0], p)
+	}
+	for _, s := range subjects {
+		want, wantOK := Match(p, s)
+		spans, ok := c.MatchInto(s, nil)
+		if ok != wantOK || (ok && !reflect.DeepEqual(spans, want)) {
+			t.Fatalf("%q: MatchInto = (%v, %v), one-shot Match = (%v, %v)", s, spans, ok, want, wantOK)
+		}
+		allocs := testing.AllocsPerRun(100, func() { spans, _ = c.MatchInto(s, spans) })
+		if allocs != 0 {
+			t.Errorf("%q: MatchInto allocated %v times per call, want 0", s, allocs)
+		}
+	}
+}

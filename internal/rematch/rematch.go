@@ -39,7 +39,7 @@ func Match(p []token.Token, s string) ([]Span, bool) {
 		return nil, s == ""
 	}
 	var m matcher
-	m.reset(p, s)
+	m.reset(p, nil, s)
 	spans := make([]Span, len(p))
 	if !m.match(0, 0, spans) {
 		return nil, false
@@ -54,14 +54,17 @@ func Matches(p []token.Token, s string) bool {
 		return s == ""
 	}
 	var m matcher
-	m.reset(p, s)
+	m.reset(p, nil, s)
 	return m.match(0, 0, m.scratch(len(p)))
 }
 
 // Compiled is a pattern prepared for repeated matching. It is safe for
 // concurrent use.
 type Compiled struct {
-	toks   []token.Token
+	toks []token.Token
+	// lits holds each fixed literal token's expanded text by position
+	// ("" for other tokens), so matching never re-expands a repeat.
+	lits   []string
 	minLen int
 	// fixedLen is the exact subject length when no token has a '+'
 	// quantifier, else -1.
@@ -75,8 +78,11 @@ type Compiled struct {
 // Compile prepares a token sequence for matching. The slice is not copied;
 // callers must not mutate it afterwards.
 func Compile(p []token.Token) *Compiled {
-	c := &Compiled{toks: p, fixedLen: 0}
-	for _, t := range p {
+	c := &Compiled{toks: p, lits: make([]string, len(p)), fixedLen: 0}
+	for i, t := range p {
+		if t.IsLiteral() && t.Quant != token.Plus {
+			c.lits[i] = t.Expand()
+		}
 		c.minLen += t.MinLen()
 		if c.fixedLen >= 0 {
 			if l, ok := t.FixedLen(); ok {
@@ -87,12 +93,7 @@ func Compile(p []token.Token) *Compiled {
 		}
 	}
 	if len(p) > 0 {
-		if t := p[0]; t.IsLiteral() && t.Quant != token.Plus {
-			c.prefix = t.Expand()
-		}
-		if t := p[len(p)-1]; t.IsLiteral() && t.Quant != token.Plus {
-			c.suffix = t.Expand()
-		}
+		c.prefix, c.suffix = c.lits[0], c.lits[len(p)-1]
 	}
 	c.pool.New = func() any { return &matcher{} }
 	return c
@@ -110,7 +111,7 @@ func (c *Compiled) Match(s string) ([]Span, bool) {
 		return nil, s == ""
 	}
 	m := c.pool.Get().(*matcher)
-	m.reset(c.toks, s)
+	m.reset(c.toks, c.lits, s)
 	spans := make([]Span, len(c.toks))
 	ok := m.match(0, 0, spans)
 	c.pool.Put(m)
@@ -137,7 +138,7 @@ func (c *Compiled) MatchInto(s string, buf []Span) ([]Span, bool) {
 	}
 	spans := buf[:len(c.toks)]
 	m := c.pool.Get().(*matcher)
-	m.reset(c.toks, s)
+	m.reset(c.toks, c.lits, s)
 	ok := m.match(0, 0, spans)
 	c.pool.Put(m)
 	return spans, ok
@@ -152,7 +153,7 @@ func (c *Compiled) Matches(s string) bool {
 		return s == ""
 	}
 	m := c.pool.Get().(*matcher)
-	m.reset(c.toks, s)
+	m.reset(c.toks, c.lits, s)
 	ok := m.match(0, 0, m.scratch(len(c.toks)))
 	c.pool.Put(m)
 	return ok
@@ -185,15 +186,18 @@ func (c *Compiled) quick(s string) bool {
 
 type matcher struct {
 	pat []token.Token
-	s   string
+	// lits are the compiled pattern's expanded fixed literals; nil for
+	// one-shot matching, which expands on demand.
+	lits []string
+	s    string
 	// fail memoizes failed (token, position) states as a flat bitset.
 	fail    []bool
 	width   int
 	spanBuf []Span
 }
 
-func (m *matcher) reset(pat []token.Token, s string) {
-	m.pat, m.s = pat, s
+func (m *matcher) reset(pat []token.Token, lits []string, s string) {
+	m.pat, m.lits, m.s = pat, lits, s
 	m.width = len(s) + 1
 	need := len(pat) * m.width
 	if cap(m.fail) < need {
@@ -223,7 +227,7 @@ func (m *matcher) match(ti, pos int, spans []Span) bool {
 	t := m.pat[ti]
 	if t.Quant != token.Plus {
 		// Fixed-length token: single possible extent.
-		if end, ok := m.fixed(t, pos); ok {
+		if end, ok := m.fixed(ti, pos); ok {
 			spans[ti] = Span{pos, end}
 			if m.match(ti+1, end, spans) {
 				return true
@@ -248,10 +252,17 @@ func (m *matcher) match(ti, pos int, spans []Span) bool {
 	return false
 }
 
-// fixed returns the end position of a fixed-quantifier token matched at pos.
-func (m *matcher) fixed(t token.Token, pos int) (int, bool) {
+// fixed returns the end position of the fixed-quantifier token pat[ti]
+// matched at pos.
+func (m *matcher) fixed(ti, pos int) (int, bool) {
+	t := m.pat[ti]
 	if t.IsLiteral() {
-		lit := t.Expand()
+		var lit string
+		if m.lits != nil {
+			lit = m.lits[ti]
+		} else {
+			lit = t.Expand()
+		}
 		end := pos + len(lit)
 		if end > len(m.s) || m.s[pos:end] != lit {
 			return 0, false

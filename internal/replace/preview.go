@@ -6,6 +6,8 @@ package replace
 import (
 	"fmt"
 	"strings"
+
+	"clx/internal/rematch"
 )
 
 // PreviewRow is one before/after pair of a preview table.
@@ -14,18 +16,23 @@ type PreviewRow struct {
 }
 
 // Preview samples up to max rows of data that the operation matches and
-// returns their transformations (paper Fig. 8).
+// returns their transformations (paper Fig. 8). The operation's matcher is
+// resolved once and its spans reused across the scanned rows.
 func (op Op) Preview(data []string, max int) []PreviewRow {
 	if max <= 0 {
 		max = 3
 	}
-	var rows []PreviewRow
+	m := rematch.CompileCached(op.Source.Tokens())
+	var (
+		rows  []PreviewRow
+		spans []rematch.Span
+		ok    bool
+	)
 	for _, s := range data {
-		out, ok := op.Apply(s)
-		if !ok {
+		if spans, ok = m.MatchInto(s, spans); !ok {
 			continue
 		}
-		rows = append(rows, PreviewRow{Input: s, Output: out})
+		rows = append(rows, PreviewRow{Input: s, Output: op.render(s, spans)})
 		if len(rows) == max {
 			break
 		}

@@ -12,6 +12,8 @@ package replace
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"clx/internal/pattern"
@@ -34,6 +36,10 @@ type Op struct {
 	Where string
 	// Plan is the underlying atomic transformation plan.
 	Plan unifi.Plan
+	// SourceIndex is, for an op of a synthesized transformation, the index
+	// of the source pattern it serves (the source whose ranked plans are
+	// its alternatives); -1 when it serves none or stands alone.
+	SourceIndex int
 }
 
 // Program is an ordered set of Replace operations; the first operation whose
@@ -61,7 +67,8 @@ func ExplainCase(c unifi.Case) Op {
 		text    string // const text
 		rng     [2]int // 1-based inclusive token range for extracts
 	}
-	var pieces []piece
+	var pieceBuf [16]piece
+	pieces := pieceBuf[:0]
 	for _, op := range c.Plan.Ops {
 		switch op := op.(type) {
 		case unifi.ConstStr:
@@ -78,51 +85,39 @@ func ExplainCase(c unifi.Case) Op {
 	// the groups read left to right in the regexp. Overlapping ranges are
 	// kept as separate groups only if identical; distinct overlapping
 	// ranges fall back to per-piece groups in plan order.
-	ranges := make(map[[2]int]int)
-	var ordered [][2]int
+	var distinctBuf, orderedBuf [16][2]int
+	distinct := distinctBuf[:0]
 	for _, pc := range pieces {
-		if pc.isConst {
-			continue
-		}
-		if _, ok := ranges[pc.rng]; !ok {
-			ranges[pc.rng] = 0
-			ordered = append(ordered, pc.rng)
+		if !pc.isConst && !slices.Contains(distinct, pc.rng) {
+			distinct = append(distinct, pc.rng)
 		}
 	}
+	ordered := append(orderedBuf[:0], distinct...)
 	sortRanges(ordered)
-	groups := make([][2]int, 0, len(ordered))
-	if nonOverlapping(ordered) {
-		for i, r := range ordered {
-			ranges[r] = i + 1
-			groups = append(groups, [2]int{r[0] - 1, r[1]}) // to 0-based half-open
-		}
-	} else {
+	if !nonOverlapping(ordered) {
 		// Rare: overlapping distinct ranges; number groups in plan order.
-		ordered = ordered[:0]
-		for _, pc := range pieces {
-			if pc.isConst {
-				continue
-			}
-			if ranges[pc.rng] == 0 {
-				ranges[pc.rng] = len(ordered) + 1
-				ordered = append(ordered, pc.rng)
-				groups = append(groups, [2]int{pc.rng[0] - 1, pc.rng[1]})
-			}
-		}
+		ordered = distinct
 	}
-	var repl strings.Builder
+	groups := make([][2]int, len(ordered))
+	for i, r := range ordered {
+		groups[i] = [2]int{r[0] - 1, r[1]} // to 0-based half-open
+	}
+	var replBuf [64]byte
+	repl := replBuf[:0]
 	for _, pc := range pieces {
-		if pc.isConst {
-			repl.WriteString(strings.ReplaceAll(pc.text, "$", "$$"))
+		if !pc.isConst {
+			repl = append(repl, '$')
+			repl = strconv.AppendInt(repl, int64(slices.Index(ordered, pc.rng)+1), 10)
 			continue
 		}
-		fmt.Fprintf(&repl, "$%d", ranges[pc.rng])
+		repl = append(repl, strings.ReplaceAll(pc.text, "$", "$$")...)
 	}
 	return Op{
 		Source:      c.Source,
 		Groups:      groups,
-		Replacement: repl.String(),
+		Replacement: string(repl),
 		Plan:        c.Plan,
+		SourceIndex: -1,
 	}
 }
 
@@ -162,14 +157,19 @@ func (op Op) String() string {
 
 // Apply applies the replace operation to s. ok is false when s does not
 // match the operation's pattern. Matching goes through the process-wide
-// compile cache: applying one operation row by row — the preview table, the
-// saved-program path, the CLI — reuses a single prepared matcher instead of
-// rebuilding backtracking state per row.
+// compile cache: applying one operation row by row — the saved-program
+// path, the CLI — reuses a single prepared matcher instead of rebuilding
+// backtracking state per row.
 func (op Op) Apply(s string) (string, bool) {
 	spans, match := rematch.CompileCached(op.Source.Tokens()).Match(s)
 	if !match {
 		return "", false
 	}
+	return op.render(s, spans), true
+}
+
+// render evaluates the replacement template over s's per-token spans.
+func (op Op) render(s string, spans []rematch.Span) string {
 	var b strings.Builder
 	repl := op.Replacement
 	for i := 0; i < len(repl); {
@@ -198,7 +198,7 @@ func (op Op) Apply(s string) (string, bool) {
 		b.WriteString(s[spans[g[0]].Start:spans[g[1]-1].End])
 		i = j
 	}
-	return b.String(), true
+	return b.String()
 }
 
 // Apply applies the first matching operation, returning ok=false when none

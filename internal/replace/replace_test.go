@@ -1,9 +1,12 @@
 package replace
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"clx/internal/benchsuite"
 	"clx/internal/cluster"
 	"clx/internal/pattern"
 	"clx/internal/synth"
@@ -175,5 +178,110 @@ func TestRegexRendering(t *testing.T) {
 	want := `^\(([0-9]{3})\) ([0-9]{3})\-([0-9]{4})$`
 	if got := op.Regex(); got != want {
 		t.Errorf("Regex = %q, want %q", got, want)
+	}
+}
+
+// referenceExplainCase is the original map-and-fmt rendering of
+// ExplainCase.
+func referenceExplainCase(c unifi.Case) Op {
+	type piece struct {
+		isConst bool
+		text    string
+		rng     [2]int
+	}
+	var pieces []piece
+	for _, op := range c.Plan.Ops {
+		switch op := op.(type) {
+		case unifi.ConstStr:
+			pieces = append(pieces, piece{isConst: true, text: op.S})
+		case unifi.Extract:
+			if n := len(pieces); n > 0 && !pieces[n-1].isConst && pieces[n-1].rng[1]+1 == op.I {
+				pieces[n-1].rng[1] = op.J
+				continue
+			}
+			pieces = append(pieces, piece{rng: [2]int{op.I, op.J}})
+		}
+	}
+	ranges := make(map[[2]int]int)
+	var ordered [][2]int
+	for _, pc := range pieces {
+		if pc.isConst {
+			continue
+		}
+		if _, ok := ranges[pc.rng]; !ok {
+			ranges[pc.rng] = 0
+			ordered = append(ordered, pc.rng)
+		}
+	}
+	sortRanges(ordered)
+	groups := make([][2]int, 0, len(ordered))
+	if nonOverlapping(ordered) {
+		for i, r := range ordered {
+			ranges[r] = i + 1
+			groups = append(groups, [2]int{r[0] - 1, r[1]})
+		}
+	} else {
+		ordered = ordered[:0]
+		for _, pc := range pieces {
+			if pc.isConst {
+				continue
+			}
+			if ranges[pc.rng] == 0 {
+				ranges[pc.rng] = len(ordered) + 1
+				ordered = append(ordered, pc.rng)
+				groups = append(groups, [2]int{pc.rng[0] - 1, pc.rng[1]})
+			}
+		}
+	}
+	var repl strings.Builder
+	for _, pc := range pieces {
+		if pc.isConst {
+			repl.WriteString(strings.ReplaceAll(pc.text, "$", "$$"))
+			continue
+		}
+		fmt.Fprintf(&repl, "$%d", ranges[pc.rng])
+	}
+	return Op{Source: c.Source, Groups: groups, Replacement: repl.String(), Plan: c.Plan, SourceIndex: -1}
+}
+
+// ExplainCase renders exactly what the reference does for every ranked
+// plan of every suite source, and for overlapping, reused, '$'-carrying
+// and long plans.
+func TestExplainCaseMatchesReference(t *testing.T) {
+	check := func(c unifi.Case) {
+		t.Helper()
+		if got, want := ExplainCase(c), referenceExplainCase(c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s over %s:\n got %+v\nwant %+v", c.Plan, c.Source, got, want)
+		}
+	}
+	src := pattern.MustParse("<D>2'-'<D>2'-'<D>4")
+	var long []unifi.Op
+	for i := 0; i < 40; i++ {
+		long = append(long, unifi.Extract{I: i%5 + 1, J: i%5 + 1}, unifi.ConstStr{S: "$x$"})
+	}
+	for _, ops := range [][]unifi.Op{
+		nil,
+		{unifi.ConstStr{S: "$$"}},
+		{unifi.Extract{I: 1, J: 3}, unifi.Extract{I: 3, J: 5}, unifi.ConstStr{S: "$"}, unifi.Extract{I: 1, J: 3}},
+		{unifi.Extract{I: 5, J: 5}, unifi.Extract{I: 1, J: 1}, unifi.Extract{I: 2, J: 4}, unifi.Extract{I: 5, J: 5}},
+		long,
+	} {
+		check(unifi.Case{Source: src, Plan: unifi.Plan{Ops: ops}})
+	}
+	plans := 0
+	opts := synth.DefaultOptions()
+	opts.K = 96
+	for _, task := range benchsuite.Tasks() {
+		target := cluster.Generalize(pattern.FromString(task.Outputs[0]), cluster.QuantToPlus)
+		h := cluster.Profile(task.Inputs, cluster.DefaultOptions())
+		for _, s := range synth.Synthesize(h, target, opts).Sources {
+			for _, r := range s.Plans {
+				check(unifi.Case{Source: s.Source, Plan: r.Plan})
+				plans++
+			}
+		}
+	}
+	if plans < 1000 {
+		t.Errorf("checked %d suite plans, want >= 1000", plans)
 	}
 }

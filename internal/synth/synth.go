@@ -10,6 +10,7 @@ package synth
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"clx/internal/align"
@@ -219,11 +220,7 @@ func trySolve(node *cluster.Node, target pattern.Pattern, opts Options) (*Source
 	if pool < 64 {
 		pool = 64
 	}
-	ranked := mdl.TopK(dag, src, pool)
-	ranked = Dedup(ranked, src)
-	if len(ranked) > opts.K {
-		ranked = ranked[:opts.K]
-	}
+	ranked := dedup(mdl.TopK(dag, src, pool), src, opts.K)
 	if len(ranked) == 0 {
 		return nil, false
 	}
@@ -276,40 +273,64 @@ func Validate(src, target pattern.Pattern, hierarchical bool) bool {
 // agree operator-by-operator up to swapping an Extract of a constant literal
 // source token with the ConstStr of the same content.
 func Dedup(ranked []mdl.Ranked, src pattern.Pattern) []mdl.Ranked {
+	return dedup(ranked, src, len(ranked))
+}
+
+// dedup is Dedup stopping once max plans are kept: the first max plans of
+// the deduplicated list, without keying the plans after them.
+func dedup(ranked []mdl.Ranked, src pattern.Pattern, max int) []mdl.Ranked {
 	seen := make(map[string]bool, len(ranked))
 	out := ranked[:0:0]
+	var key []byte
+	lits := make([]string, src.Len())
 	for _, r := range ranked {
-		k := canonicalKey(r.Plan, src)
-		if seen[k] {
+		if len(out) == max {
+			break
+		}
+		key = appendCanonicalKey(key[:0], r.Plan, src, lits)
+		if seen[string(key)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out = append(out, r)
 	}
 	return out
 }
 
-// canonicalKey renders a plan as its sequence of single-token effects, with
-// extracts of fixed literal source tokens replaced by their constant
-// content. Two plans are equivalent iff their keys are equal.
-func canonicalKey(p unifi.Plan, src pattern.Pattern) string {
-	key := ""
+// appendCanonicalKey appends a plan's canonical key to key: its sequence
+// of single-token effects, with extracts of fixed literal source tokens
+// replaced by their constant content. Two plans are equivalent iff their
+// keys are equal. lits caches the expanded fixed literals of src by token
+// position.
+func appendCanonicalKey(key []byte, p unifi.Plan, src pattern.Pattern, lits []string) []byte {
 	for _, op := range p.Ops {
 		switch op := op.(type) {
 		case unifi.ConstStr:
-			key += fmt.Sprintf("C%q;", op.S)
+			key = appendConst(key, op.S)
 		case unifi.Extract:
 			for j := op.I; j <= op.J; j++ {
 				t := src.At(j - 1)
 				if t.IsLiteral() && t.Quant != token.Plus {
-					key += fmt.Sprintf("C%q;", t.Expand())
+					if lits[j-1] == "" {
+						lits[j-1] = t.Expand()
+					}
+					key = appendConst(key, lits[j-1])
 				} else {
-					key += fmt.Sprintf("X%d;", j)
+					key = append(key, 'X')
+					key = strconv.AppendInt(key, int64(j), 10)
+					key = append(key, ';')
 				}
 			}
 		}
 	}
 	return key
+}
+
+// appendConst appends the key of a constant: C, s quoted as by %q, ';'.
+func appendConst(key []byte, s string) []byte {
+	key = append(key, 'C')
+	key = strconv.AppendQuote(key, s)
+	return append(key, ';')
 }
 
 // Program assembles the UniFi Switch program from the currently selected

@@ -1,11 +1,15 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
+	"clx/internal/align"
+	"clx/internal/benchsuite"
 	"clx/internal/cluster"
 	"clx/internal/mdl"
 	"clx/internal/pattern"
+	"clx/internal/token"
 	"clx/internal/unifi"
 )
 
@@ -310,5 +314,57 @@ func TestAllRankedPlansSound(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// referenceCanonicalKey is the original string rendering of a plan's
+// canonical key.
+func referenceCanonicalKey(p unifi.Plan, src pattern.Pattern) string {
+	key := ""
+	for _, op := range p.Ops {
+		switch op := op.(type) {
+		case unifi.ConstStr:
+			key += fmt.Sprintf("C%q;", op.S)
+		case unifi.Extract:
+			for j := op.I; j <= op.J; j++ {
+				t := src.At(j - 1)
+				if t.IsLiteral() && t.Quant != token.Plus {
+					key += fmt.Sprintf("C%q;", t.Expand())
+				} else {
+					key += fmt.Sprintf("X%d;", j)
+				}
+			}
+		}
+	}
+	return key
+}
+
+// The byte-appended canonical key equals the fmt rendering for every plan
+// of every suite source, and for constants that need escaping.
+func TestCanonicalKeyMatchesReference(t *testing.T) {
+	check := func(p unifi.Plan, src pattern.Pattern) {
+		t.Helper()
+		got := string(appendCanonicalKey(nil, p, src, make([]string, src.Len())))
+		if want := referenceCanonicalKey(p, src); got != want {
+			t.Fatalf("plan %s of %s: key %q, want %q", p, src, got, want)
+		}
+	}
+	src := pattern.Of(token.Lit(`"q'\`), token.Base(token.Digit, 2), token.Token{Class: token.Literal, Lit: "-", Quant: 3},
+		token.Lit("é\t\x00"), token.Token{Class: token.Literal, Lit: "ab", Quant: token.Plus})
+	check(unifi.Plan{Ops: []unifi.Op{
+		unifi.Extract{I: 1, J: 5}, unifi.ConstStr{S: "\"\\\n漢\xff"}, unifi.Extract{I: 3, J: 3}, unifi.ConstStr{},
+	}}, src)
+	plans := 0
+	for _, task := range benchsuite.Tasks() {
+		target := cluster.Generalize(pattern.FromString(task.Outputs[0]), cluster.QuantToPlus)
+		for _, s := range Synthesize(profile(task.Inputs...), target, DefaultOptions()).Sources {
+			for _, r := range mdl.TopK(align.Align(target, s.Source), s.Source, 96) {
+				check(r.Plan, s.Source)
+				plans++
+			}
+		}
+	}
+	if plans < 1000 {
+		t.Errorf("checked %d suite plans, want >= 1000", plans)
 	}
 }

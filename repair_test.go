@@ -103,7 +103,9 @@ func checkFlagged(t *testing.T, name string, tr *Transformation) {
 // suiteTransformations labels every benchmark-suite task with each target
 // the simulated user selects and hands each transformation to check,
 // then repairs every source to its last-ranked plan and checks again,
-// then refines the first refinable source and checks once more.
+// then refines the first refinable source and checks once more. Last, a
+// fresh labeling has one source repaired with examples taken from the
+// task's desired outputs and, when that repair takes, is checked too.
 func suiteTransformations(t *testing.T, check func(name string, tr *Transformation)) {
 	tasks := benchsuite.Tasks()
 	if len(tasks) < 47 {
@@ -128,6 +130,12 @@ func suiteTransformations(t *testing.T, check func(name string, tr *Transformati
 					check(name+"/refined", tr)
 					break
 				}
+			}
+			if tr, err = NewSession(task.Inputs).Label(target); err != nil {
+				t.Fatal(err)
+			}
+			if exampleRepair(tr, task.Inputs, task.Outputs) {
+				check(name+"/examples", tr)
 			}
 		}
 	}

@@ -48,7 +48,8 @@ func (t *Transformation) Export() ([]byte, error) {
 	var progBuf bytes.Buffer
 	progEnc := json.NewEncoder(&progBuf)
 	progEnc.SetEscapeHTML(false)
-	if err := progEnc.Encode(t.guardedProgram()); err != nil {
+	gp, _ := t.guardedProgram()
+	if err := progEnc.Encode(gp); err != nil {
 		return nil, err
 	}
 	progRaw := progBuf.Bytes()

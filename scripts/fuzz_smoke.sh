@@ -11,7 +11,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 FUZZTIME=${FUZZTIME:-10s}
-FUZZ_PKGS=${FUZZ_PKGS:-". ./internal/automaton ./internal/cluster"}
+FUZZ_PKGS=${FUZZ_PKGS:-". ./internal/automaton ./internal/cluster ./internal/mdl"}
 
 found=0
 for pkg in $FUZZ_PKGS; do
