@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: test race gate fmt-check cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke flake-check
+.PHONY: test race gate fmt-check cover fuzz-smoke apply-parity profile-parity bench bench-profile obs-smoke bench-smoke cluster-smoke cluster-parity session-smoke flake-check
 
 # Tier-1: vet + build + unit tests (ROADMAP.md contract).
 test:
@@ -21,8 +21,8 @@ race:
 # Full gate: gofmt cleanliness, tier-1, race tier, per-package coverage
 # floors, a 10s-per-target fuzz smoke over the seed corpora, the
 # automaton-vs-reference apply-parity smoke, the metrics-overhead smoke
-# test, the load-harness smoke, and the cluster smoke.
-gate: fmt-check test race cover fuzz-smoke apply-parity profile-parity obs-smoke load-smoke cluster-smoke session-smoke
+# test, the benchmark's own smoke test, and the cluster smoke.
+gate: fmt-check test race cover fuzz-smoke apply-parity profile-parity obs-smoke bench-smoke cluster-smoke session-smoke
 
 # Formatting: every Go file in the tree must be gofmt-clean.
 fmt-check:
@@ -63,57 +63,17 @@ bench-profile:
 	$(GO) test -run xxx -bench 'BenchmarkTokenize|BenchmarkIntern|BenchmarkProfile' -benchmem \
 		./internal/tokenize ./internal/intern ./internal/cluster
 
-# Regenerate BENCH_pipeline.json (serial-vs-parallel stage timings).
-pipeline:
-	$(GO) run ./cmd/clxbench -exp pipeline
-
-# Regenerate BENCH_profile.json (counted-profile phase breakdown,
-# rows/sec, allocs/row, distinct-pattern ratio, incremental-append
-# speedup; GOMAXPROCS pinned per worker count).
-profile:
-	$(GO) run ./cmd/clxbench -exp profile
-
-# Bench regression check (optional; not part of `gate` — medians on shared
-# hardware are too noisy to gate merges on): re-measure the profile
-# experiment and fail if rows/sec lands more than 15% below the checked-in
-# BENCH_profile.json for any worker count.
-bench-check:
-	$(GO) run ./cmd/clxbench -exp profile -profile-out '' -profile-baseline BENCH_profile.json
-
-# Regenerate BENCH_store.json (program registry: synthesize-and-register
-# vs apply-by-id, cold vs warm matcher cache).
-bench-store:
-	$(GO) run ./cmd/clxbench -exp store
-
-# Regenerate BENCH_stream.json (streaming bulk apply vs in-memory
-# Transform: rows/sec and allocs/row at 10k/100k/1M rows, workers 1/2/4/8).
-bench-stream:
-	$(GO) run ./cmd/clxbench -exp stream
-
-# Regenerate BENCH_obs.json (observability-layer overhead: instrumented vs
-# metrics-frozen pipeline and streaming apply on the 20k-row corpus).
-bench-obs:
-	$(GO) run ./cmd/clxbench -exp obs
-
-# Regenerate BENCH_apply.json (byte-automaton vs backtracking reference
-# apply engine: streamed rows/sec and allocs/row at 10k/100k/1M rows,
-# workers 1/4/8, median of 5).
-bench-apply:
-	$(GO) run ./cmd/clxbench -exp apply
-
 # Metrics-overhead smoke: the instrumented pipeline must stay within 5% of
-# the metrics-frozen baseline (clxbench exits non-zero past the budget).
-# The report lands in a scratch file so the committed BENCH_obs.json only
-# changes when bench-obs is run deliberately.
+# the metrics-frozen baseline (median of 21 paired reps over 20k phone
+# rows; BenchmarkObsOverhead fails past the budget).
 obs-smoke:
-	$(GO) run ./cmd/clxbench -exp obs -obs-out /tmp/BENCH_obs_smoke.json
+	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 1x .
 
-# Load-harness smoke: a fixed-seed open-loop run from internal/loadgen
-# against the in-process daemon handler — zero transport errors, every
-# arrival accounted for as 200 or 429, generous p99 budget. Keeps the
-# load harness and the daemon API from drifting apart.
-load-smoke:
-	$(GO) test -race -count=1 -run 'TestLoadSmoke' ./internal/daemon
+# Benchmark smoke: the bench/ module's own tests, which spawn clxd and
+# clxproxy and require every request to return 200 and pass the output
+# oracle. Keeps the benchmark and the daemon API from drifting apart.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Cluster smoke: a fixed workload through an in-process 2-node cluster
 # (leader + WAL-replicated follower behind the routing proxy), reconciled
@@ -155,14 +115,3 @@ flake-check:
 cluster-parity:
 	CLX_CLUSTER_PARITY=full $(GO) test -race -count=1 -timeout 1800s \
 		-run 'TestCluster' .
-
-# Regenerate BENCH_load.json: build the daemon, then let clxload spawn it
-# per phase — a 3-rate sweep (median of 3), a knee search for the p99 SLO,
-# and the semaphore-vs-tokenbucket A/B under bursty stream-only arrivals
-# with exact 200/429 reconciliation against /v1/stats.
-bench-load:
-	$(GO) build -o /tmp/clxd-bench ./cmd/clxd
-	$(GO) run ./cmd/clxload -clxd /tmp/clxd-bench -rates 100,200,400 \
-		-duration 3s -reps 3 -max-streams 4 \
-		-knee -slo-p99 250ms -knee-hi 6400 \
-		-ab -ab-rate 3000 -out BENCH_load.json

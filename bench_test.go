@@ -239,8 +239,7 @@ func BenchmarkEndToEndSession(b *testing.B) {
 var workerSweep = []int{1, 2, 4, 8}
 
 // BenchmarkParallelProfile sweeps cluster.Profile across worker counts
-// (Workers=1 is the serial baseline; see BENCH_pipeline.json for the
-// tracked serial-vs-parallel trajectory).
+// (Workers=1 is the serial baseline).
 func BenchmarkParallelProfile(b *testing.B) {
 	rows, _ := dataset.Phones(10000, 6, 77)
 	for _, w := range workerSweep {

@@ -21,10 +21,7 @@ func sessionDaemon(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := daemon.New(st, daemon.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := daemon.New(st, daemon.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts

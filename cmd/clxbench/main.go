@@ -15,16 +15,13 @@
 //	clxbench -exp fig16         CLX Step breakdown and CDF
 //	clxbench -exp expressivity  perfect-transformation counts
 //	clxbench -exp appendixE     user-effort summary fractions
-//	clxbench -exp stream        streaming vs in-memory bulk apply (BENCH_stream.json)
-//	clxbench -exp obs           observability-layer overhead (BENCH_obs.json)
+//
+// Performance is measured by the benchmark module under bench/, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux
 	"os"
 	"sort"
 
@@ -33,16 +30,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (see -help) or 'all'")
-	pprofAddr := flag.String("pprof", "",
-		"serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
 	flag.Parse()
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Print("clxbench: pprof server: ", err)
-			}
-		}()
-	}
 	if err := runExperiment(*exp); err != nil {
 		fmt.Fprintln(os.Stderr, "clxbench:", err)
 		os.Exit(1)
@@ -66,12 +54,6 @@ func experimentsMap() map[string]func() {
 		"expressivity": expressivity,
 		"appendixE":    appendixE,
 		"scaling":      scaling,
-		"pipeline":     pipeline,
-		"profile":      profileExperiment,
-		"store":        storeExperiment,
-		"stream":       streamExperiment,
-		"apply":        applyExperiment,
-		"obs":          obsExperiment,
 		"panel":        panel,
 		"markdown":     markdown,
 		"quiz":         quiz,

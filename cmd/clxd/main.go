@@ -23,20 +23,16 @@
 // request counts) in the Prometheus text exposition format with no
 // third-party dependency.
 //
-// Concurrent streaming applies pass an admission policy (-admission):
-// the default semaphore caps streams in flight at -max-streams (default
-// 2× the CPU count) — each stream holds a chunk window of memory, so
-// unbounded admission would defeat the engine's bounded-memory guarantee
-// — while -admission=tokenbucket admits at a sustained -admission-rate
-// streams/s with an -admission-burst allowance, trading the hard memory
-// bound for burst absorption after idle periods. Rejected requests get
-// 429 with the uniform error envelope and a Retry-After header derived
-// from an EWMA of recent stream durations (floor 1s, cap 30s), so the
-// backoff hint tracks actual load. Both sides of every decision are
-// counted in /v1/stats and /metrics (clx_streams_admitted_total,
-// clx_streams_rejected_total), so a load generator can reconcile its
-// observed 200/429 split exactly against the server's accounting —
-// clxload's A/B mode does.
+// Concurrent streaming applies pass an admission semaphore that caps
+// streams in flight at -max-streams (default 2× the CPU count): each
+// stream holds a chunk window of memory, so unbounded admission would
+// defeat the engine's bounded-memory guarantee. Rejected requests get 429
+// with the uniform error envelope and a Retry-After header derived from
+// an EWMA of recent stream durations (floor 1s, cap 30s), so the backoff
+// hint tracks actual load. Both sides of every decision are counted in
+// /v1/stats and /metrics (clx_streams_admitted_total,
+// clx_streams_rejected_total), so a client can reconcile its observed
+// 200/429 split exactly against the server's accounting.
 //
 // With -pprof <addr> the daemon additionally serves net/http/pprof on that
 // address (kept off the API port so profile streaming bypasses its
@@ -137,13 +133,6 @@ func main() {
 		"structured request-log format: text or json")
 	streams := flag.Int("max-streams", 2*runtime.GOMAXPROCS(0),
 		"concurrent streaming-apply cap; requests over it get 429 + Retry-After")
-	admissionFlag := flag.String("admission", "semaphore",
-		"streaming admission policy: semaphore (cap in-flight streams at -max-streams) "+
-			"or tokenbucket (admit at -admission-rate with -admission-burst)")
-	admissionRateFlag := flag.Float64("admission-rate", 100,
-		"tokenbucket admission: sustained streams/sec admitted")
-	admissionBurstFlag := flag.Float64("admission-burst", 0,
-		"tokenbucket admission: burst capacity in streams (0 = 2 x -max-streams)")
 	followersFlag := flag.String("followers", "",
 		"comma-separated follower base URLs; when set this node is a replication "+
 			"leader and ships every registry write to them before acknowledging")
@@ -183,20 +172,14 @@ func main() {
 		repl = fleet.NewReplicator(st, urls, fleet.ReplicatorOptions{RetryInterval: time.Second})
 		defer repl.Close()
 	}
-	srv, err := daemon.New(st, daemon.Config{
-		Workers:        *workers,
-		MaxStreams:     *streams,
-		Admission:      *admissionFlag,
-		AdmissionRate:  *admissionRateFlag,
-		AdmissionBurst: *admissionBurstFlag,
-		Logger:         obs.NewLogger(os.Stderr, *logFormat),
-		Replicator:     repl,
-		SessionTTL:     *sessionTTL,
-		MaxSessions:    *maxSessions,
+	srv := daemon.New(st, daemon.Config{
+		Workers:     *workers,
+		MaxStreams:  *streams,
+		Logger:      obs.NewLogger(os.Stderr, *logFormat),
+		Replicator:  repl,
+		SessionTTL:  *sessionTTL,
+		MaxSessions: *maxSessions,
 	})
-	if err != nil {
-		log.Fatal("clxd: ", err)
-	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),

@@ -22,8 +22,9 @@ import (
 	"clx/internal/tokenize"
 )
 
-// Stats reports what one Profile pass saw and where the time went, for the
-// clxbench profile experiment and callers that monitor profiling cost.
+// Stats reports what one Profile pass saw and where the time went, for
+// Session.ProfileStats (whose phases the benchmark's per-layer breakdown
+// reads) and callers that monitor profiling cost.
 type Stats struct {
 	// Rows is the input column size; DistinctValues the number of unique
 	// strings in it; LeafPatterns the number of initial clusters.

@@ -1,41 +1,20 @@
-// Streaming-apply admission policies. Each stream pins a chunk-window of
-// memory for its whole lifetime, so admission must be bounded; how it is
-// bounded is a policy choice the operator A/Bs under real load (clxload's
-// bursty process is built for exactly that):
-//
-//   - semaphore: at most N streams in flight, acquire-or-429. Hard memory
-//     bound; under a burst the head is admitted and the tail rejected
-//     regardless of how idle the server was beforehand.
-//   - tokenbucket: admission at a sustained rate with a burst allowance.
-//     Idle time banks credit, so a burst after a quiet period is absorbed
-//     up to the bucket size; memory is bounded in expectation (rate ×
-//     stream duration), not absolutely.
-//
-// The policy is selected by the -admission flag, and both sides of every
-// decision are counted (clx_streams_admitted_total /
-// clx_streams_rejected_total), so client-observed 200/429 counts can be
-// reconciled exactly against the server's accounting.
+// Streaming-apply admission. Each stream pins a chunk-window of memory
+// for its whole lifetime, so admission is bounded: a counting semaphore
+// allows at most N streams in flight, acquire-or-429. Under a burst the
+// head is admitted and the tail rejected, which keeps the memory bound
+// hard. Both sides of every decision are counted
+// (clx_streams_admitted_total / clx_streams_rejected_total), so
+// client-observed 200/429 counts can be reconciled exactly against the
+// server's accounting.
 package daemon
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// admissionPolicy gates one streaming request. Admit returns whether the
-// request may proceed and, when it may, a release to call exactly once
-// when the stream ends (a no-op func for policies with nothing to give
-// back — never nil).
-type admissionPolicy interface {
-	Admit() (release func(), ok bool)
-	Name() string
-}
-
-// semaphoreAdmission is the original policy: a counting semaphore with a
-// non-blocking acquire.
+// semaphoreAdmission is a counting semaphore with a non-blocking acquire.
 type semaphoreAdmission struct {
 	sem chan struct{}
 }
@@ -47,7 +26,10 @@ func newSemaphoreAdmission(slots int) *semaphoreAdmission {
 	return &semaphoreAdmission{sem: make(chan struct{}, slots)}
 }
 
-func (a *semaphoreAdmission) Admit() (func(), bool) {
+// Admit takes a slot if one is free. When it does, the returned release
+// gives the slot back and must be called exactly once, when the stream
+// ends.
+func (a *semaphoreAdmission) Admit() (release func(), ok bool) {
 	select {
 	case a.sem <- struct{}{}:
 		return func() { <-a.sem }, true
@@ -56,73 +38,14 @@ func (a *semaphoreAdmission) Admit() (func(), bool) {
 	}
 }
 
-func (a *semaphoreAdmission) Name() string { return "semaphore" }
-
 // slots reports the configured capacity (for error messages and stats).
 func (a *semaphoreAdmission) slots() int { return cap(a.sem) }
-
-// tokenBucketAdmission admits at a sustained rate with a burst
-// allowance: the bucket holds up to burst tokens, refills at rate
-// tokens/second, and each admitted stream spends one. Release is a no-op
-// — the bucket shapes arrival rate, not concurrency.
-type tokenBucketAdmission struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64 // bucket capacity
-	tokens float64
-	last   time.Time
-	now    func() time.Time // injectable clock for tests
-}
-
-func newTokenBucketAdmission(rate, burst float64) *tokenBucketAdmission {
-	if rate <= 0 {
-		rate = 1
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	tb := &tokenBucketAdmission{rate: rate, burst: burst, now: time.Now}
-	// A fresh daemon starts with a full bucket: the first burst after
-	// boot is as admissible as one after any idle period.
-	tb.tokens = burst
-	tb.last = tb.now()
-	return tb
-}
-
-func (a *tokenBucketAdmission) Admit() (func(), bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.now()
-	if dt := now.Sub(a.last).Seconds(); dt > 0 {
-		a.tokens = math.Min(a.burst, a.tokens+dt*a.rate)
-	}
-	a.last = now
-	if a.tokens >= 1 {
-		a.tokens--
-		return func() {}, true
-	}
-	return nil, false
-}
-
-func (a *tokenBucketAdmission) Name() string { return "tokenbucket" }
-
-// newAdmissionPolicy is the -admission flag factory.
-func newAdmissionPolicy(mode string, slots int, rate, burst float64) (admissionPolicy, error) {
-	switch mode {
-	case "", "semaphore":
-		return newSemaphoreAdmission(slots), nil
-	case "tokenbucket":
-		return newTokenBucketAdmission(rate, burst), nil
-	default:
-		return nil, fmt.Errorf("unknown admission policy %q (want semaphore or tokenbucket)", mode)
-	}
-}
 
 // durationEWMA is an exponentially weighted moving average over
 // durations, updated lock-free. It backs the Retry-After hint on 429: a
 // rejected client is told to come back after roughly one typical stream
-// duration, because that is when a slot (or token) is likely to free —
-// a fixed "1" underestimates backoff whenever streams run long.
+// duration, because that is when a slot is likely to free — a fixed "1"
+// underestimates backoff whenever streams run long.
 type durationEWMA struct {
 	bits atomic.Uint64 // float64 seconds; 0 = no observations yet
 }

@@ -1,6 +1,6 @@
-// Unit tests of the admission policies and the EWMA-derived Retry-After
-// hint: bucket refill arithmetic under a fake clock, the policy factory,
-// the EWMA computation, and the 429 header carrying the derived value.
+// Unit tests of the admission semaphore and the EWMA-derived Retry-After
+// hint: slot acquire/release, the EWMA computation, and the 429 header
+// carrying the derived value.
 package daemon
 
 import (
@@ -28,78 +28,8 @@ func TestSemaphoreAdmission(t *testing.T) {
 		t.Fatal("admit after release rejected")
 	}
 	r2()
-	if a.Name() != "semaphore" || a.slots() != 2 {
-		t.Errorf("name=%q slots=%d", a.Name(), a.slots())
-	}
-}
-
-func TestTokenBucketRefill(t *testing.T) {
-	now := time.Unix(0, 0)
-	tb := newTokenBucketAdmission(10, 3) // 10 tokens/s, burst 3
-	tb.now = func() time.Time { return now }
-	tb.tokens = 3 // full bucket at t=0
-	tb.last = now
-
-	// Burst drains the bucket: 3 admits pass, the 4th rejects.
-	for i := 0; i < 3; i++ {
-		if _, ok := tb.Admit(); !ok {
-			t.Fatalf("admit %d of burst rejected", i)
-		}
-	}
-	if _, ok := tb.Admit(); ok {
-		t.Fatal("admit over empty bucket accepted")
-	}
-
-	// 100ms refills exactly one token at 10/s.
-	now = now.Add(100 * time.Millisecond)
-	if _, ok := tb.Admit(); !ok {
-		t.Fatal("admit after one-token refill rejected")
-	}
-	if _, ok := tb.Admit(); ok {
-		t.Fatal("second admit after one-token refill accepted")
-	}
-
-	// A long idle period banks at most the burst capacity.
-	now = now.Add(time.Hour)
-	for i := 0; i < 3; i++ {
-		if _, ok := tb.Admit(); !ok {
-			t.Fatalf("admit %d after idle rejected (burst should be banked)", i)
-		}
-	}
-	if _, ok := tb.Admit(); ok {
-		t.Fatal("bucket banked more than its burst capacity")
-	}
-	if tb.Name() != "tokenbucket" {
-		t.Errorf("name = %q", tb.Name())
-	}
-}
-
-func TestTokenBucketReleaseIsNoop(t *testing.T) {
-	tb := newTokenBucketAdmission(1, 1)
-	now := time.Unix(0, 0)
-	tb.now = func() time.Time { return now }
-	tb.tokens, tb.last = 1, now
-	release, ok := tb.Admit()
-	if !ok {
-		t.Fatal("admit rejected")
-	}
-	release() // must not refund the token
-	if _, ok := tb.Admit(); ok {
-		t.Fatal("release refunded a token — bucket shapes rate, not concurrency")
-	}
-}
-
-func TestNewAdmissionPolicyFactory(t *testing.T) {
-	for mode, want := range map[string]string{
-		"": "semaphore", "semaphore": "semaphore", "tokenbucket": "tokenbucket",
-	} {
-		p, err := newAdmissionPolicy(mode, 4, 10, 20)
-		if err != nil || p.Name() != want {
-			t.Errorf("mode %q -> %v, %v", mode, p, err)
-		}
-	}
-	if _, err := newAdmissionPolicy("leakybucket", 4, 10, 20); err == nil {
-		t.Error("unknown mode accepted")
+	if a.slots() != 2 {
+		t.Errorf("slots=%d, want 2", a.slots())
 	}
 }
 

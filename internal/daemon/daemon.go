@@ -26,21 +26,13 @@ import (
 	"clx/internal/stream"
 )
 
-// maxStreams caps concurrent streaming applies under the semaphore
-// policy. Each stream holds up to chunk × MaxInFlight rows, so admission
-// must be bounded for the engine's fixed-memory guarantee to survive a
-// request burst. ~2 streams per CPU keeps the workers busy without
-// stacking windows. A var so tests can override it before newServer;
-// external callers size it via Config.MaxStreams.
+// maxStreams caps concurrent streaming applies: it is the admission
+// semaphore's slot count. Each stream holds up to chunk × MaxInFlight
+// rows, so admission must be bounded for the engine's fixed-memory
+// guarantee to survive a request burst. ~2 streams per CPU keeps the
+// workers busy without stacking windows. A var so tests can override it
+// before newServer; external callers size it via Config.MaxStreams.
 var maxStreams = 2 * runtime.GOMAXPROCS(0)
-
-// Admission policy defaults (see admission.go). Vars so tests can
-// override them before newServer; external callers use Config.
-var (
-	admissionMode  = "semaphore"
-	admissionRate  = 100.0 // tokenbucket: sustained streams/sec
-	admissionBurst = 0.0   // tokenbucket: burst size (<=0: 2 x maxStreams)
-)
 
 // maxBody caps every request body; oversized bodies get the 413 envelope.
 // A var so tests can shrink it.
@@ -63,11 +55,6 @@ type Config struct {
 	// MaxStreams caps in-flight streaming applies (semaphore admission);
 	// 0 means 2× GOMAXPROCS.
 	MaxStreams int
-	// Admission selects the streaming admission policy: "" or
-	// "semaphore", or "tokenbucket" with AdmissionRate/AdmissionBurst.
-	Admission      string
-	AdmissionRate  float64
-	AdmissionBurst float64
 	// Logger receives structured access logs; nil logs nothing.
 	Logger *obs.Logger
 	// Replicator, when set, makes this node a replication leader: every
@@ -90,7 +77,7 @@ type Config struct {
 type Server = server
 
 // server carries the shared daemon state: the program registry, the
-// request logger, the streaming admission policy, the stream-duration
+// request logger, the streaming admission semaphore, the stream-duration
 // EWMA behind the Retry-After hint, an optional leader-side replicator,
 // and this node's own admission ledger (the process-global obs counters
 // sum over every node in the process; these don't, which is what lets an
@@ -99,7 +86,7 @@ type server struct {
 	store      *progstore.Store
 	opts       clx.Options
 	logger     *obs.Logger // nil logs nothing (tests)
-	admission  admissionPolicy
+	admission  *semaphoreAdmission
 	streamEWMA durationEWMA
 	repl       *fleet.Replicator
 	sessions   *sessionstore.Store
@@ -131,22 +118,10 @@ func newSessionStore(ttl time.Duration, max int, now func() time.Time) *sessions
 }
 
 // New builds a server over st from cfg.
-func New(st *progstore.Store, cfg Config) (*Server, error) {
+func New(st *progstore.Store, cfg Config) *Server {
 	slots := cfg.MaxStreams
 	if slots <= 0 {
 		slots = 2 * runtime.GOMAXPROCS(0)
-	}
-	rate := cfg.AdmissionRate
-	if rate <= 0 {
-		rate = admissionRate
-	}
-	burst := cfg.AdmissionBurst
-	if burst <= 0 {
-		burst = float64(2 * slots)
-	}
-	pol, err := newAdmissionPolicy(cfg.Admission, slots, rate, burst)
-	if err != nil {
-		return nil, err
 	}
 	opts := clx.DefaultOptions()
 	opts.Workers = cfg.Workers
@@ -154,29 +129,19 @@ func New(st *progstore.Store, cfg Config) (*Server, error) {
 		store:     st,
 		opts:      opts,
 		logger:    cfg.Logger,
-		admission: pol,
+		admission: newSemaphoreAdmission(slots),
 		repl:      cfg.Replicator,
 		sessions:  newSessionStore(cfg.SessionTTL, cfg.MaxSessions, cfg.SessionNow),
-	}, nil
+	}
 }
 
 // newServer is the test-side constructor: it reads the package-level
 // default vars, which the admission and body-cap tests override in place.
 func newServer(st *progstore.Store) *server {
-	burst := admissionBurst
-	if burst <= 0 {
-		burst = float64(2 * maxStreams)
-	}
-	pol, err := newAdmissionPolicy(admissionMode, maxStreams, admissionRate, burst)
-	if err != nil {
-		// New validates configs from the outside; reaching this is a
-		// programmer error in tests.
-		panic(err)
-	}
 	return &server{
 		store:     st,
 		opts:      clx.DefaultOptions(),
-		admission: pol,
+		admission: newSemaphoreAdmission(maxStreams),
 		sessions:  newSessionStore(sessionTTL, sessionMax, sessionNowFunc),
 	}
 }
@@ -294,11 +259,10 @@ func (s *server) handleReplicationStatus(w http.ResponseWriter, _ *http.Request)
 // statsResponse is the GET /v1/stats document: process-level counters a
 // deployment scrapes to watch the daemon — the compiled-matcher cache
 // (hit/miss/evict), the streaming bulk-apply totals, the automaton
-// compilation totals, this node's streaming admission ledger (which
-// policy is in force and both sides of every decision, counted per node
-// so a cluster proxy or load generator can reconcile each node's
-// observed 200/429 split exactly), the profile-index counters, and the
-// node's replication position — plus, on a leader, the follower
+// compilation totals, this node's streaming admission ledger (both sides
+// of every decision, counted per node so a cluster proxy or load
+// generator can reconcile each node's observed 200/429 split exactly),
+// the profile-index counters, and the node's replication position — plus, on a leader, the follower
 // shipping ledger.
 type statsResponse struct {
 	MatcherCache rematch.CacheStats       `json:"matcher_cache"`
@@ -323,15 +287,14 @@ type sessionsStats struct {
 // this server's own, not the process totals: an in-process multi-node
 // fixture gets an exact per-node ledger.
 type admissionStats struct {
-	// Policy is the admission mode in force.
-	Policy string `json:"policy"`
 	// Admitted and Rejected count every decision on this node;
 	// admitted + rejected equals the streaming requests that reached
 	// admission, and rejected equals the 429s clients saw from it.
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
-	// InFlight is this node's streams-in-flight gauge — the load signal
-	// the least-loaded routing policy scrapes.
+	// InFlight is this node's streams-in-flight gauge: the semaphore
+	// slots held right now, never more than MaxStreams. It is the load
+	// signal the least-loaded routing policy scrapes.
 	InFlight int64 `json:"in_flight"`
 	// RetryAfterSeconds is the hint the next 429 would carry (EWMA of
 	// recent stream durations, floor 1s, cap 30s).
@@ -364,7 +327,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Streaming:    stream.GlobalStats(),
 		Automaton:    automaton.GlobalStats(),
 		Admission: admissionStats{
-			Policy:            s.admission.Name(),
 			Admitted:          s.admitted.Load(),
 			Rejected:          s.rejected.Load(),
 			InFlight:          s.inFlight.Load(),

@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"clx/internal/progstore"
 )
 
 func request(t *testing.T, h http.Handler, method, path, body string) (*httptest.ResponseRecorder, []byte) {
@@ -250,5 +254,79 @@ func TestStatsProfileIndexCounters(t *testing.T) {
 	}
 	if d := after.ProfileIndex.RowsProfiled - before.ProfileIndex.RowsProfiled; d < 3 {
 		t.Errorf("rows_profiled advanced by %d, want >= 3", d)
+	}
+}
+
+// jsonKeyPaths appends the dotted path of every leaf under v. An empty
+// object counts as a leaf, so a section that loses all its fields still
+// shows.
+func jsonKeyPaths(prefix string, v any, out []string) []string {
+	m, ok := v.(map[string]any)
+	if !ok || len(m) == 0 {
+		return append(out, prefix)
+	}
+	for k, child := range m {
+		if prefix != "" {
+			k = prefix + "." + k
+		}
+		out = jsonKeyPaths(k, child, out)
+	}
+	return out
+}
+
+// TestStatsKeyPaths pins the shape of /v1/stats on a fresh single-node
+// server: the sorted set of JSON key paths. A field added, renamed or
+// dropped shows up here, so moving the document onto another source
+// (such as the obs registry) has to keep every path or say which changed.
+func TestStatsKeyPaths(t *testing.T) {
+	st, err := progstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, raw := request(t, New(st, Config{}).Handler(), "GET", "/v1/stats", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stats status %d", rec.Code)
+	}
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	got := jsonKeyPaths("", doc, nil)
+	sort.Strings(got)
+	want := []string{
+		"admission.admitted",
+		"admission.in_flight",
+		"admission.rejected",
+		"admission.retry_after_seconds",
+		"automaton.compiled",
+		"automaton.fallback",
+		"matcher_cache.evictions",
+		"matcher_cache.hits",
+		"matcher_cache.misses",
+		"profile_index.appended_rows",
+		"profile_index.distinct_values",
+		"profile_index.incremental_profiles",
+		"profile_index.profiles",
+		"profile_index.rows_profiled",
+		"profile_index.sharded_profiles",
+		"replication.last_idx",
+		"replication.records_applied",
+		"replication.snapshots_installed",
+		"sessions.active",
+		"sessions.commits",
+		"sessions.created",
+		"sessions.deleted",
+		"sessions.evicted",
+		"sessions.rejected",
+		"sessions.repairs",
+		"streaming.chunks",
+		"streaming.errors",
+		"streaming.flagged",
+		"streaming.peak_in_flight",
+		"streaming.rows",
+		"streaming.streams",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/stats key paths:\n got %q\nwant %q", got, want)
 	}
 }

@@ -95,7 +95,7 @@ func TestStreamAdmissionCap(t *testing.T) {
 		t.Fatalf("429 without Retry-After header")
 	}
 	var env errorJSON
-	if err := json.Unmarshal(raw, &env); err != nil || !strings.Contains(env.Error, "concurrent streams") {
+	if err := json.Unmarshal(raw, &env); err != nil || !strings.Contains(env.Error, "concurrent streams (limit 1)") {
 		t.Fatalf("not the uniform envelope: %s", raw)
 	}
 

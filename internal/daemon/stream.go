@@ -63,18 +63,18 @@ func (s *server) handleProgramApplyStream(w http.ResponseWriter, r *http.Request
 	}
 	// Admission control: each stream pins a chunk × MaxInFlight window of
 	// memory for its whole lifetime, so admission is bounded by the
-	// configured policy (semaphore or token bucket — see admission.go).
-	// The decision is non-blocking — turning a burst away immediately
-	// with 429 beats queueing it against the server's write timeout. The
-	// Retry-After hint is an EWMA of recent stream durations: roughly
-	// when the next slot or token frees, instead of a hardcoded guess.
+	// semaphore (see admission.go). The decision is non-blocking —
+	// turning a burst away immediately with 429 beats queueing it against
+	// the server's write timeout. The Retry-After hint is an EWMA of
+	// recent stream durations: roughly when the next slot frees, instead
+	// of a hardcoded guess.
 	release, admitted := s.admission.Admit()
 	if !admitted {
 		streamsRejected.Inc()
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.streamEWMA.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("too many concurrent streams (%s admission); retry later", s.admission.Name()))
+			fmt.Errorf("too many concurrent streams (limit %d); retry later", s.admission.slots()))
 		return
 	}
 	streamsAdmitted.Inc()

@@ -137,13 +137,10 @@ func (c *Cluster) openStore(i int) (*progstore.Store, string) {
 // non-nil only for the leader.
 func (c *Cluster) serveNode(i int, st *progstore.Store, dir string, repl *fleet.Replicator) *Node {
 	c.t.Helper()
-	srv, err := daemon.New(st, daemon.Config{
+	srv := daemon.New(st, daemon.Config{
 		MaxStreams: c.opts.MaxStreams,
 		Replicator: repl,
 	})
-	if err != nil {
-		c.t.Fatalf("fleettest: node %d server: %v", i, err)
-	}
 	return &Node{Dir: dir, Store: st, Server: srv, HTTP: httptest.NewServer(srv.Handler())}
 }
 
@@ -191,10 +188,7 @@ func (c *Cluster) Restart(i int) {
 			c.t.Fatalf("fleettest: node %d reopen: %v", i, err)
 		}
 	}
-	srv, err := daemon.New(st, daemon.Config{MaxStreams: c.opts.MaxStreams})
-	if err != nil {
-		c.t.Fatalf("fleettest: node %d server: %v", i, err)
-	}
+	srv := daemon.New(st, daemon.Config{MaxStreams: c.opts.MaxStreams})
 	n := &Node{Dir: old.Dir, Store: st, Server: srv}
 	n.HTTP = httptest.NewServer(srv.Handler())
 	c.Nodes[i] = n

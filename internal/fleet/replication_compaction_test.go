@@ -53,10 +53,7 @@ func newFollowerNode(t *testing.T) (*progstore.Store, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	srv, err := daemon.New(st, daemon.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := daemon.New(st, daemon.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return st, hs.URL

@@ -1,12 +1,14 @@
 package loadgen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
 )
 
-func drain(p ArrivalProcess) []time.Duration {
+func drain(p *Poisson) []time.Duration {
 	var out []time.Duration
 	for {
 		at, ok := p.Next()
@@ -14,19 +16,6 @@ func drain(p ArrivalProcess) []time.Duration {
 			return out
 		}
 		out = append(out, at)
-	}
-}
-
-func TestFixedRateSpacing(t *testing.T) {
-	offs := drain(NewFixedRate(100, 5))
-	if len(offs) != 5 {
-		t.Fatalf("arrivals = %d, want 5", len(offs))
-	}
-	for i, at := range offs {
-		want := time.Duration(i) * 10 * time.Millisecond
-		if at != want {
-			t.Errorf("arrival %d at %v, want %v", i, at, want)
-		}
 	}
 }
 
@@ -55,87 +44,52 @@ func TestPoissonDeterministicAndCalibrated(t *testing.T) {
 	}
 }
 
-func TestBurstyPhases(t *testing.T) {
-	// 100ms on at 2000/s, 100ms off at 0/s: every arrival must land in an
-	// on phase, and the long-run mean must be ~half the burst rate.
-	p := NewBursty(0, 2000, 100*time.Millisecond, 100*time.Millisecond, 2000, 7)
-	offs := drain(p)
-	if len(offs) != 2000 {
-		t.Fatalf("arrivals = %d, want 2000", len(offs))
+// TestPoissonScheduleGolden pins the schedule the benchmark's serve-mix
+// and fleet-mix plans send: ProcessFor("poisson", 400, n, seed, ...) is
+// their call, and n only cuts the sequence short, so these are the first
+// 4,000 arrivals of every run at 400/s. Each fingerprint is FNV-64a over
+// the offsets in nanoseconds, little-endian int64, in order. A change here
+// means the benchmark's schedule moved, and runs before and after it no
+// longer compare.
+func TestPoissonScheduleGolden(t *testing.T) {
+	golden := map[int64]uint64{
+		1:   0x930397aaa27df193,
+		3:   0x18fb36adbf16a4f4,
+		42:  0x32c5344908331e99,
+		777: 0x093f5d438f2d0644,
 	}
-	cycle := 200 * time.Millisecond
-	for i, at := range offs {
-		if at%cycle >= 100*time.Millisecond {
-			t.Fatalf("arrival %d at %v falls in a silent off phase", i, at)
+	for seed, want := range golden {
+		p, err := ProcessFor("poisson", 400, 4000, seed, BurstShape{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && at < offs[i-1] {
-			t.Fatalf("offsets decrease at %d", i)
+		offs := drain(p)
+		if len(offs) != 4000 {
+			t.Fatalf("seed %d: %d arrivals, want 4000", seed, len(offs))
 		}
-	}
-	mean := float64(len(offs)) / offs[len(offs)-1].Seconds()
-	if math.Abs(mean-1000)/1000 > 0.10 {
-		t.Errorf("long-run rate %.1f/s, want ~1000/s (2000/s at 50%% duty)", mean)
-	}
-	// Determinism.
-	again := drain(NewBursty(0, 2000, 100*time.Millisecond, 100*time.Millisecond, 2000, 7))
-	for i := range offs {
-		if offs[i] != again[i] {
-			t.Fatalf("same seed diverges at arrival %d", i)
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, at := range offs {
+			binary.LittleEndian.PutUint64(buf[:], uint64(at))
+			h.Write(buf[:])
 		}
-	}
-}
-
-func TestBurstyNonzeroBase(t *testing.T) {
-	// With a nonzero off rate both phases carry arrivals.
-	p := NewBursty(100, 4000, 50*time.Millisecond, 150*time.Millisecond, 3000, 9)
-	offs := drain(p)
-	var on, off int
-	cycle := 200 * time.Millisecond
-	for _, at := range offs {
-		if at%cycle < 50*time.Millisecond {
-			on++
-		} else {
-			off++
+		if got := h.Sum64(); got != want {
+			t.Errorf("seed %d: schedule fingerprint %#016x, want %#016x", seed, got, want)
 		}
 	}
-	if on == 0 || off == 0 {
-		t.Fatalf("on=%d off=%d, want arrivals in both phases", on, off)
-	}
-	if on < off {
-		t.Errorf("on=%d < off=%d despite 40x phase rate", on, off)
-	}
-}
-
-func TestBurstShapeMeanRate(t *testing.T) {
-	sh := DefaultBurstShape(400)
-	if got := sh.MeanRate(); math.Abs(got-400) > 1e-9 {
-		t.Errorf("DefaultBurstShape(400).MeanRate() = %v, want 400", got)
-	}
-}
-
-func TestNewOffsetsRejectsDecreasing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on decreasing offsets")
-		}
-	}()
-	NewOffsets("bad", []time.Duration{time.Second, 0})
 }
 
 func TestProcessForFactory(t *testing.T) {
-	for _, name := range []string{"fixed", "poisson", "bursty"} {
-		p, err := ProcessFor(name, 100, 10, 1, BurstShape{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("ProcessFor(%q).Name() = %q", name, p.Name())
-		}
-		if offs := drain(p); len(offs) != 10 {
-			t.Errorf("%s: arrivals = %d, want 10", name, len(offs))
-		}
+	p, err := ProcessFor("poisson", 100, 10, 1, BurstShape{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ProcessFor("warp", 100, 10, 1, BurstShape{}); err == nil {
-		t.Error("unknown process name did not error")
+	if offs := drain(p); len(offs) != 10 {
+		t.Errorf("arrivals = %d, want 10", len(offs))
+	}
+	for _, name := range []string{"fixed", "bursty", "warp"} {
+		if _, err := ProcessFor(name, 100, 10, 1, BurstShape{}); err == nil {
+			t.Errorf("ProcessFor(%q) did not error", name)
+		}
 	}
 }

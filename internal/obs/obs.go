@@ -18,7 +18,7 @@
 // re-wiring in tests is safe) and are updated with single atomic
 // operations; a histogram observation is one atomic add on the matched
 // bucket plus two for count and sum. SetEnabled(false) freezes counters
-// and histograms — the switch the overhead benchmark (clxbench -exp obs)
+// and histograms — the switch the overhead benchmark (BenchmarkObsOverhead)
 // uses to measure the instrumented hot path against the uninstrumented
 // one in the same binary. Gauges stay live even when disabled: they track
 // paired acquire/release state (in-flight streams) that must not drift.

@@ -1,9 +1,10 @@
 // Package provenance stamps benchmark reports with the facts needed to
 // compare them across machines and commits: toolchain version, CPU
 // budget, the git commit the binary was built from, and a UTC timestamp.
-// Every BENCH_*.json the repo commits embeds one of these, so a reviewer
-// reading two reports side by side can tell whether a delta is a code
-// change, a machine change, or a stale file — without out-of-band notes.
+// Every report the benchmark under bench/ writes embeds one of these, so
+// a reader comparing two reports side by side can tell whether a delta is
+// a code change, a machine change, or a stale file — without out-of-band
+// notes.
 package provenance
 
 import (
