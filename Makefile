@@ -31,9 +31,11 @@ fmt-check:
 # Apply-parity smoke: the byte-automaton engine must produce byte-identical
 # output (rows, flagged indices, errors) to the retained backtracking
 # engine over the 47-task benchmark suite, across chunk sizes and worker
-# counts, under the race detector.
+# counts; and a live transformation's Run and Apply must equal the paper's
+# interpreter and the loaded program at every repair stage, under the race
+# detector.
 apply-parity:
-	$(GO) test -race -run 'TestAutomatonDifferentialBenchSuite' .
+	$(GO) test -race -run 'TestAutomatonDifferentialBenchSuite|TestOneEngineSuiteWide' .
 
 # Profile-parity smoke: the sharded, mergeable, incremental profile index
 # must emit byte-identical hierarchies to the reference per-row profiler

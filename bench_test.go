@@ -23,7 +23,6 @@ import (
 	"clx/internal/flashfill"
 	"clx/internal/mdl"
 	"clx/internal/pattern"
-	"clx/internal/rematch"
 	"clx/internal/simuser"
 	"clx/internal/synth"
 	"clx/internal/tokenize"
@@ -184,10 +183,10 @@ func BenchmarkTokenize(b *testing.B) {
 }
 
 func BenchmarkMatcher(b *testing.B) {
-	p := pattern.MustParse("<AN>+'@'<AN>+'.'<AN>+").Tokens()
+	p := pattern.MustParse("<AN>+'@'<AN>+'.'<AN>+")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rematch.Matches(p, "john-smith_42@example mail.com")
+		p.Matches("john-smith_42@example mail.com")
 	}
 }
 
@@ -515,9 +514,11 @@ func BenchmarkSuiteScaling(b *testing.B) {
 			target := pattern.MustParse("<D>3'-'<D>3'-'<D>4")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h := cluster.Profile(rows, cluster.DefaultOptions())
-				res := synth.Synthesize(h, target, synth.DefaultOptions())
-				res.Transform()
+				tr, err := clx.NewSession(rows).Label(target)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr.Run()
 			}
 		})
 	}

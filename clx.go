@@ -15,6 +15,12 @@
 //     offers ranked alternative plans for one-click repair
 //     (Transformation.Repair).
 //
+// Every job that applies a program runs one engine, SavedProgram: the
+// target identity check, then the fused byte automaton, then the compiled
+// backtracking program. Transformation.Run and Apply use the engine
+// LoadProgram would build from the transformation's Export, so the rows a
+// user verifies are produced by the code that later serves the program.
+//
 // Quick start:
 //
 //	sess := clx.NewSession([]string{"(734) 645-8397", "734.236.3466", "734-422-8073"})
@@ -30,13 +36,13 @@ package clx
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"clx/internal/cluster"
 	"clx/internal/obs"
 	"clx/internal/parallel"
 	"clx/internal/pattern"
-	"clx/internal/rematch"
 	"clx/internal/replace"
 	"clx/internal/synth"
 	"clx/internal/unifi"
@@ -387,6 +393,11 @@ type Transformation struct {
 	// guards holds content-conditional overrides keyed by source pattern
 	// (RepairWithExamples).
 	guards map[string][]unifi.GuardedCase
+	// engine is the program bound to the serving engine (the one
+	// LoadProgram builds), made by the first Run or Apply and dropped by
+	// every repair. Building it costs far more than one row, so it is kept;
+	// it is atomic so concurrent Run and Apply calls stay safe.
+	engine atomic.Pointer[SavedProgram]
 }
 
 // Generation returns the session generation this transformation was
@@ -485,12 +496,18 @@ func (t *Transformation) PlanCount(i int) int {
 }
 
 // Repair replaces source i's plan with its j-th ranked alternative (§6.4).
-func (t *Transformation) Repair(i, j int) error { return t.res.Repair(i, j) }
+func (t *Transformation) Repair(i, j int) error {
+	t.engine.Store(nil)
+	return t.res.Repair(i, j)
+}
 
 // Refine drills into source i's child patterns when none of its plans is
 // right: the source is replaced by one entry per solvable child pattern,
 // each with its own ranked plans (the hierarchy affordance of §4.2).
-func (t *Transformation) Refine(i int) error { return t.res.Refine(i) }
+func (t *Transformation) Refine(i int) error {
+	t.engine.Store(nil)
+	return t.res.Refine(i)
+}
 
 // RepairWithExamples resolves a content conditional — the §7.4 extension
 // for formats where the right transformation depends on a token's value
@@ -527,6 +544,7 @@ func (t *Transformation) RepairWithExamples(examples map[string]string) error {
 		t.guards = make(map[string][]unifi.GuardedCase)
 	}
 	t.guards[src.Key()] = cases
+	t.engine.Store(nil)
 	return nil
 }
 
@@ -570,39 +588,33 @@ func (t *Transformation) guardedProgram() (gp unifi.GuardedProgram, sources []in
 // Run applies the transformation to the session's column. Rows already in
 // the target pattern are untouched; rows matching no source candidate (or,
 // for guarded sources, carrying an unknown keyword) are copied through and
-// their indices returned in flagged for review (§6.1).
+// their indices returned in flagged for review (§6.1). It runs the engine
+// a saved copy of the program is served by.
 func (t *Transformation) Run() (out []string, flagged []int) {
 	defer func(t0 time.Time) { obsTransformDur.Observe(time.Since(t0)) }(time.Now())
-	if len(t.guards) == 0 {
-		return t.res.Transform()
+	return t.served().transform(t.data)
+}
+
+// served returns the transformation's serving engine, building it on
+// first use after Label or a repair.
+func (t *Transformation) served() *SavedProgram {
+	if sp := t.engine.Load(); sp != nil {
+		return sp
 	}
-	prog, _ := t.guardedProgram()
-	target := rematch.CompileCached(t.res.Target.Tokens())
-	data := t.data
-	out = make([]string, len(data))
-	flagged = parallel.Gather(t.sess.opts.Workers, len(data), func(lo, hi int, emit func(int)) {
-		for i := lo; i < hi; i++ {
-			s := data[i]
-			if target.Matches(s) {
-				out[i] = s
-				continue
-			}
-			v, err := prog.Apply(s)
-			if err != nil {
-				out[i] = s
-				emit(i)
-				continue
-			}
-			out[i] = v
-		}
-	})
-	return out, flagged
+	gp, _ := t.guardedProgram()
+	sp := newSavedProgram(t.res.Target, gp)
+	sp.Workers = t.sess.opts.Workers
+	t.engine.CompareAndSwap(nil, sp) // a concurrent build's engine is equal
+	return sp
 }
 
 // Flagged returns exactly Run's flagged row indices without rendering
 // the output column: rows in the synthesis-time clean set are skipped,
 // and every other row is only dispatched through the compiled program —
 // guards and plan checks included — to see whether some case covers it.
+// It does not build Run's engine: the label response calls Flagged once
+// per labeling, and the automaton costs far more to build than the
+// compiled program.
 func (t *Transformation) Flagged() []int {
 	gp, _ := t.guardedProgram()
 	prog := gp.Compile()
@@ -624,25 +636,7 @@ func (t *Transformation) Flagged() []int {
 
 // Apply transforms a single new string. ok is false when the string matches
 // neither the target (left as is) nor any applicable source pattern.
-func (t *Transformation) Apply(s string) (string, bool) {
-	if t.res.Target.Matches(s) {
-		return s, true
-	}
-	var (
-		out string
-		err error
-	)
-	if len(t.guards) == 0 {
-		out, err = t.res.Program().Apply(s)
-	} else {
-		gp, _ := t.guardedProgram()
-		out, err = gp.Apply(s)
-	}
-	if err != nil {
-		return s, false
-	}
-	return out, true
-}
+func (t *Transformation) Apply(s string) (string, bool) { return t.served().Apply(s) }
 
 // Unmatched returns the input rows covered by no source candidate.
 func (t *Transformation) Unmatched() []int { return t.res.UnmatchedRows }

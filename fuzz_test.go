@@ -9,10 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	clx "clx"
 	"clx/internal/cluster"
 	"clx/internal/pattern"
 	"clx/internal/stream"
-	"clx/internal/synth"
 )
 
 // FuzzTokenizeMatches checks the central profiling invariant on arbitrary
@@ -115,9 +115,11 @@ func FuzzSynthesisSoundness(f *testing.F) {
 				start = i + 1
 			}
 		}
-		h := cluster.Profile(data, cluster.DefaultOptions())
-		res := synth.Synthesize(h, target, synth.DefaultOptions())
-		out, flagged := res.Transform()
+		tr, err := clx.NewSession(data).Label(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, flagged := tr.Run()
 		flaggedSet := make(map[int]bool)
 		for _, i := range flagged {
 			flaggedSet[i] = true

@@ -25,7 +25,7 @@ func mustCompile(t *testing.T, gp unifi.GuardedProgram) *automaton.Machine {
 // whose pattern matches and guard holds.
 func refSelect(gp unifi.GuardedProgram, s string) (int, []rematch.Span, bool) {
 	for i, c := range gp.Cases {
-		spans, ok := rematch.Match(c.Source.Tokens(), s)
+		spans, ok := c.Source.Match(s)
 		if !ok {
 			continue
 		}

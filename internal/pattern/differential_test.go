@@ -56,7 +56,7 @@ func TestMatcherAgreesWithRegexp(t *testing.T) {
 		for probe := 0; probe < 20; probe++ {
 			s := randSubject()
 			want := re.MatchString(s)
-			got := rematch.Matches(p.Tokens(), s)
+			got := rematch.Compile(p.Tokens()).Matches(s)
 			if got != want {
 				t.Fatalf("pattern %s (regex %q) on %q: matcher=%v regexp=%v",
 					p, p.Regex(), s, got, want)
@@ -87,7 +87,7 @@ func TestGroupedRegexAgreesWithSpans(t *testing.T) {
 		if m == nil {
 			t.Fatalf("regexp did not match %q", tc.input)
 		}
-		spans, ok := rematch.Match(p.Tokens(), tc.input)
+		spans, ok := rematch.Compile(p.Tokens()).Match(tc.input)
 		if !ok {
 			t.Fatalf("matcher did not match %q", tc.input)
 		}

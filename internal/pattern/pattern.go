@@ -43,11 +43,12 @@ func (p Pattern) IsEmpty() bool { return len(p.toks) == 0 }
 // String renders the pattern in the paper's compact notation, e.g.
 // "<U><L>2<D>3'@'<L>5'.'<L>3".
 func (p Pattern) String() string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for _, t := range p.toks {
-		b.WriteString(t.String())
+		b = t.AppendString(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Key returns a canonical map key identifying the pattern. Two patterns have
@@ -125,11 +126,11 @@ func (p Pattern) grouped(groups [][2]int, render func(token.Token) string, pre, 
 // Match reports whether s is an exact match of p and returns the per-token
 // spans of s when it is.
 func (p Pattern) Match(s string) ([]rematch.Span, bool) {
-	return rematch.Match(p.toks, s)
+	return rematch.CompileCached(p.toks).Match(s)
 }
 
 // Matches reports whether s is an exact match of p.
-func (p Pattern) Matches(s string) bool { return rematch.Matches(p.toks, s) }
+func (p Pattern) Matches(s string) bool { return rematch.CompileCached(p.toks).Matches(s) }
 
 // Freq computes the token frequency Q(<t>, p) of base class c in p (paper
 // Eq. 1): the sum of quantifiers of all base tokens of exactly class c, with

@@ -60,6 +60,15 @@ type DriftCluster struct {
 	Resynthesizable bool `json:"resynthesizable"`
 }
 
+func matchesAny(ps []clx.Pattern, s string) bool {
+	for _, p := range ps {
+		if p.Matches(s) {
+			return true
+		}
+	}
+	return false
+}
+
 // driftSampleCap bounds the sample rows carried per drift cluster.
 const driftSampleCap = 3
 
@@ -99,17 +108,25 @@ func (s *Store) Apply(id string, rows []string, workers int) (*ApplyResult, erro
 	return res, nil
 }
 
-// driftReport profiles the flagged rows into their novel formats. Flagged
-// rows are exactly the drifted ones: Transform leaves a row unchanged
-// with ok=false iff it matches neither the target nor any case source.
+// driftReport profiles the drifted rows into their novel formats. A row
+// drifts when it matches neither the target nor any recorded source. For
+// an unguarded program those are exactly the flagged rows; a guarded one
+// also flags rows of a recorded source whose keyword is in no guarded
+// group, and those are not drift.
 func driftReport(rows []string, flagged []int, lp *loadedProgram, workers int) DriftReport {
-	rep := DriftReport{Checked: len(rows), Drifted: len(flagged)}
-	if len(flagged) == 0 {
-		return rep
+	var sources []clx.Pattern
+	if len(flagged) > 0 && lp.sp.Guarded() {
+		sources = lp.sp.Sources()
 	}
-	drifted := make([]string, len(flagged))
-	for i, ri := range flagged {
-		drifted[i] = rows[ri]
+	drifted := make([]string, 0, len(flagged))
+	for _, ri := range flagged {
+		if !matchesAny(sources, rows[ri]) {
+			drifted = append(drifted, rows[ri])
+		}
+	}
+	rep := DriftReport{Checked: len(rows), Drifted: len(drifted)}
+	if len(drifted) == 0 {
+		return rep
 	}
 	co := cluster.DefaultOptions()
 	co.Workers = workers

@@ -150,6 +150,53 @@ func TestApplyHotPathAndDrift(t *testing.T) {
 	}
 }
 
+// A guarded program flags rows of a recorded format whose keyword is in no
+// guarded group. Those rows keep a recorded format, so they are flagged but
+// not drifted; only the row matching no recorded pattern is.
+func TestDriftSkipsGuardedRecordedFormats(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tr, err := clx.NewSession([]string{
+		"picture 001", "invoice 001", "picture 002", "invoice 002",
+	}).Label(clx.MustParsePattern("<U>+'-'<D>+"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RepairWithExamples(map[string]string{
+		"picture 001": "PIC-001", "picture 002": "PIC-002",
+		"invoice 001": "DOC-001", "invoice 002": "DOC-002",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tr.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.Register(raw, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Apply(e.ID, []string{"picture 007", "receipt 003", "zzz/9"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"PIC-007", "receipt 003", "zzz/9"}; !reflect.DeepEqual(res.Output, want) {
+		t.Fatalf("output = %v, want %v", res.Output, want)
+	}
+	if !reflect.DeepEqual(res.Flagged, []int{1, 2}) {
+		t.Fatalf("flagged = %v, want [1 2]", res.Flagged)
+	}
+	if res.Drift.Checked != 3 || res.Drift.Drifted != 1 {
+		t.Fatalf("drift = %+v, want 1 of 3 drifted", res.Drift)
+	}
+	if len(res.Drift.Clusters) != 1 || !reflect.DeepEqual(res.Drift.Clusters[0].Samples, []string{"zzz/9"}) {
+		t.Fatalf("drift clusters = %+v, want only zzz/9", res.Drift.Clusters)
+	}
+}
+
 // Registered programs survive a daemon restart: state is rebuilt from
 // snapshot + WAL, entries compare equal field by field, and the recovered
 // program applies identically.

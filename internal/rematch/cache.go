@@ -1,10 +1,10 @@
 // Process-wide compiled-matcher cache.
 //
-// The same handful of patterns is compiled over and over across the system:
-// the synthesizer compiles the target once per Synthesize call, every
-// unifi.Program.Compile recompiles its case sources, replace.Op.Apply
-// historically re-matched from scratch per row, and the clxd server repeats
-// all of that per request. CompileCached memoizes Compile results under the
+// The same handful of patterns is matched over and over across the system:
+// the synthesizer checks the target once per Synthesize call, every
+// program compile binds its case sources, pattern.Pattern.Match and
+// replace.Op.Apply match one row at a time, and the clxd server repeats all
+// of that per request. CompileCached memoizes Compile results under the
 // canonical pattern string so one *Compiled — with its pooled backtracking
 // state and precomputed quick rejects — is shared across ops, sessions and
 // concurrent request handlers.
@@ -12,7 +12,6 @@ package rematch
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,8 +87,9 @@ var cache atomic.Pointer[cacheMap]
 func init() { cache.Store(new(cacheMap)) }
 
 // CompileCached returns a shared Compiled for p, memoized process-wide by
-// the canonical pattern string (token.Token.String concatenation, the same
-// key pattern.Pattern.Key uses, so equal patterns always share a matcher).
+// the canonical pattern string (the tokens' String renderings concatenated,
+// the same key pattern.Pattern.Key uses, so equal patterns always share a
+// matcher).
 //
 // Unlike Compile — which borrows the caller's slice and forbids later
 // mutation — CompileCached copies p before compiling. A cached matcher can
@@ -140,10 +140,13 @@ func ResetCache() {
 	}
 }
 
+// cacheKey renders every token into one buffer, which stays on the stack
+// for keys up to its size, so a lookup allocates only the key string.
 func cacheKey(p []token.Token) string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for _, t := range p {
-		b.WriteString(t.String())
+		b = t.AppendString(b)
 	}
-	return b.String()
+	return string(b)
 }

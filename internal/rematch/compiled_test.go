@@ -24,10 +24,10 @@ func TestCompiledEquivalentToMatch(t *testing.T) {
 	for _, p := range patterns {
 		c := Compile(p)
 		for _, s := range subjects {
-			wantSpans, wantOK := Match(p, s)
+			wantSpans, wantOK := referenceMatch(p, s)
 			gotSpans, gotOK := c.Match(s)
 			if wantOK != gotOK || !reflect.DeepEqual(wantSpans, gotSpans) {
-				t.Errorf("pattern %v on %q: compiled (%v,%v) != one-shot (%v,%v)",
+				t.Errorf("pattern %v on %q: compiled (%v,%v) != reference (%v,%v)",
 					p, s, gotSpans, gotOK, wantSpans, wantOK)
 			}
 			if c.Matches(s) != wantOK {
@@ -85,23 +85,6 @@ func TestCompiledConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func BenchmarkCompiledVsOneShot(b *testing.B) {
-	p := tokenize.Tokenize("(734) 645-8397")
-	subject := "(313) 263-1192"
-	b.Run("one-shot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Matches(p, subject)
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		c := Compile(p)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Matches(subject)
-		}
-	})
-}
-
 // MatchInto agrees with Match on spans and verdicts, reuses a buffer with
 // capacity in place, and grows an undersized one.
 func TestMatchInto(t *testing.T) {
@@ -115,7 +98,7 @@ func TestMatchInto(t *testing.T) {
 	for _, p := range patterns {
 		c := Compile(p)
 		for _, s := range subjects {
-			wantSpans, wantOK := Match(p, s)
+			wantSpans, wantOK := referenceMatch(p, s)
 			gotSpans, gotOK := c.MatchInto(s, buf)
 			if cap(gotSpans) > cap(buf) {
 				buf = gotSpans
@@ -151,14 +134,14 @@ func TestMatchIntoRepeatedLiteralAllocsNothing(t *testing.T) {
 	}
 	c := Compile(p)
 	subjects := []string{"123///ABabab45", "123//ABabab45", "123///ABab45", "123///A"}
-	if _, ok := Match(p, subjects[0]); !ok {
+	if _, ok := referenceMatch(p, subjects[0]); !ok {
 		t.Fatalf("%q does not match %v", subjects[0], p)
 	}
 	for _, s := range subjects {
-		want, wantOK := Match(p, s)
+		want, wantOK := referenceMatch(p, s)
 		spans, ok := c.MatchInto(s, nil)
 		if ok != wantOK || (ok && !reflect.DeepEqual(spans, want)) {
-			t.Fatalf("%q: MatchInto = (%v, %v), one-shot Match = (%v, %v)", s, spans, ok, want, wantOK)
+			t.Fatalf("%q: MatchInto = (%v, %v), reference Match = (%v, %v)", s, spans, ok, want, wantOK)
 		}
 		allocs := testing.AllocsPerRun(100, func() { spans, _ = c.MatchInto(s, spans) })
 		if allocs != 0 {

@@ -8,9 +8,16 @@
 // backtracking and memoized failure states; replacements are then evaluated
 // over the returned spans (see DESIGN.md, substitutions).
 //
-// For repeated matching of the same pattern — applying a transformation to
-// a whole column — Compile returns a reusable matcher with precomputed
-// quick-reject checks and pooled backtracking state.
+// Compile returns the one matcher: a pattern prepared with precomputed
+// quick-reject checks, fixed literals expanded once, and pooled
+// backtracking state. CompileCached shares one per pattern process-wide;
+// pattern.Pattern.Match goes through it, so every caller — one-off checks
+// and column-wide applies alike — runs the same code.
+//
+// Matching is exact (anchored). When a pattern is ambiguous the match is
+// greedy: each '+' token takes the longest extent that still allows the
+// remaining tokens to match. Matching is byte-oriented; CLX token classes
+// are all ASCII, and non-ASCII bytes can only be matched by literal tokens.
 package rematch
 
 import (
@@ -25,37 +32,6 @@ import (
 // by one token of a pattern.
 type Span struct {
 	Start, End int
-}
-
-// Match reports whether s is an exact (anchored) match of the token sequence
-// p, and if so returns one span per token covering s. When p is ambiguous,
-// the match is greedy: each '+' token takes the longest extent that still
-// allows the remaining tokens to match.
-//
-// Matching is byte-oriented; CLX token classes are all ASCII, and non-ASCII
-// bytes can only be matched by literal tokens.
-func Match(p []token.Token, s string) ([]Span, bool) {
-	if len(p) == 0 {
-		return nil, s == ""
-	}
-	var m matcher
-	m.reset(p, nil, s)
-	spans := make([]Span, len(p))
-	if !m.match(0, 0, spans) {
-		return nil, false
-	}
-	return spans, true
-}
-
-// Matches reports whether s is an exact match of p without materializing
-// spans.
-func Matches(p []token.Token, s string) bool {
-	if len(p) == 0 {
-		return s == ""
-	}
-	var m matcher
-	m.reset(p, nil, s)
-	return m.match(0, 0, m.scratch(len(p)))
 }
 
 // Compiled is a pattern prepared for repeated matching. It is safe for
@@ -186,8 +162,8 @@ func (c *Compiled) quick(s string) bool {
 
 type matcher struct {
 	pat []token.Token
-	// lits are the compiled pattern's expanded fixed literals; nil for
-	// one-shot matching, which expands on demand.
+	// lits are the compiled pattern's expanded fixed literals, by token
+	// position ("" for other tokens).
 	lits []string
 	s    string
 	// fail memoizes failed (token, position) states as a flat bitset.
@@ -257,12 +233,7 @@ func (m *matcher) match(ti, pos int, spans []Span) bool {
 func (m *matcher) fixed(ti, pos int) (int, bool) {
 	t := m.pat[ti]
 	if t.IsLiteral() {
-		var lit string
-		if m.lits != nil {
-			lit = m.lits[ti]
-		} else {
-			lit = t.Expand()
-		}
+		lit := m.lits[ti]
 		end := pos + len(lit)
 		if end > len(m.s) || m.s[pos:end] != lit {
 			return 0, false

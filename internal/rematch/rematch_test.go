@@ -11,9 +11,32 @@ import (
 	"clx/internal/tokenize"
 )
 
+// matchBoth matches s against p with both Compile and the reference
+// matcher, failing the test when they disagree.
+func matchBoth(t *testing.T, p []token.Token, s string) ([]Span, bool) {
+	t.Helper()
+	want, wantOK := referenceMatch(p, s)
+	c := Compile(p)
+	got, ok := c.Match(s)
+	if ok != wantOK || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Match(%v, %q) = %v, %v; reference %v, %v", p, s, got, ok, want, wantOK)
+	}
+	if c.Matches(s) != ok {
+		t.Fatalf("Matches(%v, %q) = %v, Match says %v", p, s, !ok, ok)
+	}
+	return got, ok
+}
+
+// matchesBoth is matchBoth's verdict.
+func matchesBoth(t *testing.T, p []token.Token, s string) bool {
+	t.Helper()
+	_, ok := matchBoth(t, p, s)
+	return ok
+}
+
 func mustMatch(t *testing.T, p []token.Token, s string) []Span {
 	t.Helper()
-	spans, ok := Match(p, s)
+	spans, ok := matchBoth(t, p, s)
 	if !ok {
 		t.Fatalf("Match(%v, %q) = false, want true", p, s)
 	}
@@ -32,7 +55,7 @@ func TestMatchFixed(t *testing.T) {
 		t.Errorf("spans = %v, want %v", spans, want)
 	}
 	for _, bad := range []string{"(734 645-8397", "(7345) 645-8397", "", "(734) 645-839", "(734) 645-83977"} {
-		if Matches(p, bad) {
+		if matchesBoth(t, p, bad) {
 			t.Errorf("Matches(%q) = true, want false", bad)
 		}
 	}
@@ -85,16 +108,16 @@ func TestMatchLiteralPlus(t *testing.T) {
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("spans = %v, want %v", spans, want)
 	}
-	if Matches(p, "aba1") {
+	if matchesBoth(t, p, "aba1") {
 		t.Error("Matches(aba1) = true, want false (partial literal repeat)")
 	}
 }
 
 func TestMatchEmpty(t *testing.T) {
-	if _, ok := Match(nil, ""); !ok {
+	if _, ok := matchBoth(t, nil, ""); !ok {
 		t.Error("empty pattern should match empty string")
 	}
-	if _, ok := Match(nil, "x"); ok {
+	if _, ok := matchBoth(t, nil, "x"); ok {
 		t.Error("empty pattern should not match non-empty string")
 	}
 }
@@ -102,11 +125,11 @@ func TestMatchEmpty(t *testing.T) {
 func TestMatchAnchored(t *testing.T) {
 	p := []token.Token{token.Base(token.Digit, 3)}
 	for _, bad := range []string{"1234", "a123", "123a", "12"} {
-		if Matches(p, bad) {
+		if matchesBoth(t, p, bad) {
 			t.Errorf("Matches(%q) = true, want false (must be anchored)", bad)
 		}
 	}
-	if !Matches(p, "123") {
+	if !matchesBoth(t, p, "123") {
 		t.Error("Matches(123) = false, want true")
 	}
 }
@@ -116,7 +139,7 @@ func TestMatchAnchored(t *testing.T) {
 func TestTokenizedPatternMatchesSelf(t *testing.T) {
 	f := func(s string) bool {
 		toks := tokenize.Tokenize(s)
-		spans, ok := Match(toks, s)
+		spans, ok := matchBoth(t, toks, s)
 		if !ok {
 			return false
 		}
@@ -156,7 +179,7 @@ func TestSpansTile(t *testing.T) {
 	subjects := []string{"Excel2013", "Bob123@gmail.com", "a1@b2.c3", "x@y.z", "ab-cd_ef@g h.ij"}
 	for _, p := range pats {
 		for _, s := range subjects {
-			spans, ok := Match(p, s)
+			spans, ok := matchBoth(t, p, s)
 			if !ok {
 				continue
 			}
@@ -183,10 +206,10 @@ func TestPathologicalBacktracking(t *testing.T) {
 	}
 	p = append(p, token.Lit("!"))
 	s := strings.Repeat("a", 200)
-	if Matches(p, s) {
+	if matchesBoth(t, p, s) {
 		t.Error("pattern requiring '!' matched plain letters")
 	}
-	if !Matches(p[:12], s[:12]) {
+	if !matchesBoth(t, p[:12], s[:12]) {
 		t.Error("12 <AN>+ tokens should match 12 chars")
 	}
 }

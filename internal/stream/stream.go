@@ -5,8 +5,9 @@
 // of the whole column (paper §5 Transform, scaled past one slice).
 //
 // Determinism is inherited, not re-proven: each worker transforms its
-// chunk with the same per-row Apply the in-memory SavedProgram.Transform
-// uses, chunk boundaries depend only on ChunkSize, and parallel.Stream
+// chunk with the program's own per-row apply (its ChunkApplier, pinned
+// byte-identical to the Apply the in-memory SavedProgram.Transform uses),
+// chunk boundaries depend only on ChunkSize, and parallel.Stream
 // emits chunks in admission order — so the concatenated output is
 // byte-identical to the in-memory path for every chunk size and worker
 // count, which the differential suite checks over the whole 47-task
@@ -23,30 +24,16 @@ import (
 	"clx/internal/parallel"
 )
 
-// Applier transforms one value; ok=false means the value was left
-// unchanged (no recorded pattern covers it). clx.SavedProgram satisfies
-// this. Implementations must be safe for concurrent use.
-type Applier interface {
-	Apply(s string) (string, bool)
-}
-
-// appendApplier is the allocation-free fast path: transform straight into
-// a caller buffer. clx.SavedProgram implements it; the engine falls back
-// to Apply for plain Appliers.
-type appendApplier interface {
-	AppendApply(dst []byte, s string) ([]byte, bool)
-}
-
-// ArenaApplier is the zero-allocation fast path over appendApplier: the
-// engine acquires one row-apply function per chunk, so the applier can
-// bind chunk-scoped scratch (span buffers, automaton state) once and
-// amortize it across every row of the chunk instead of paying per-row
-// pool traffic. release returns the scratch after the chunk is encoded;
-// the returned apply must not be called after release, and distinct
-// ChunkApplier results must be independently usable (chunks run
-// concurrently). clx.SavedProgram implements this when its program
-// compiled to a byte automaton.
-type ArenaApplier interface {
+// ChunkApplier is the program the engine runs: per chunk it hands out a
+// row-apply function, so the program can bind chunk-scoped scratch (span
+// buffers, automaton state) once and amortize it across every row of the
+// chunk. apply appends the transformed value to dst — or, with ok=false,
+// the input unchanged because no recorded pattern covers it. release
+// returns the scratch after the chunk is encoded; the returned apply must
+// not be called after release, and distinct ChunkApplier results must be
+// independently usable (chunks run concurrently). clx.SavedProgram
+// implements it.
+type ChunkApplier interface {
 	ChunkApplier() (apply func(dst []byte, s string) ([]byte, bool), release func())
 }
 
@@ -106,13 +93,11 @@ type chunkOut struct {
 // output ends cleanly at a chunk boundary (chunks before the failure are
 // complete, nothing after it is written). Process-wide counters are
 // updated either way (see Counters).
-func Run(prog Applier, r Reader, enc Encoder, w io.Writer, opts Options) (Stats, error) {
+func Run(prog ChunkApplier, r Reader, enc Encoder, w io.Writer, opts Options) (Stats, error) {
 	chunkSize := opts.ChunkSize
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	ca, arenaPath := prog.(ArenaApplier)
-	aa, fastPath := prog.(appendApplier)
 
 	var (
 		st       Stats
@@ -150,38 +135,16 @@ func Run(prog Applier, r Reader, enc Encoder, w io.Writer, opts Options) (Stats,
 	apply := func(rows []string) chunkOut {
 		defer func(t0 time.Time) { mChunkDur.Observe(time.Since(t0)) }(time.Now())
 		out := chunkOut{rows: len(rows), payload: make([]byte, 0, 16*len(rows))}
-		if arenaPath {
-			applyRow, release := ca.ChunkApplier()
-			defer release()
-			var val []byte
-			for i, s := range rows {
-				var ok bool
-				val, ok = applyRow(val[:0], s)
-				if !ok {
-					out.flagged = append(out.flagged, i)
-				}
-				out.payload = enc.AppendValue(out.payload, val)
-			}
-			return out
-		}
-		if fastPath {
-			var val []byte
-			for i, s := range rows {
-				var ok bool
-				val, ok = aa.AppendApply(val[:0], s)
-				if !ok {
-					out.flagged = append(out.flagged, i)
-				}
-				out.payload = enc.AppendValue(out.payload, val)
-			}
-			return out
-		}
+		applyRow, release := prog.ChunkApplier()
+		defer release()
+		var val []byte
 		for i, s := range rows {
-			v, ok := prog.Apply(s)
+			var ok bool
+			val, ok = applyRow(val[:0], s)
 			if !ok {
 				out.flagged = append(out.flagged, i)
 			}
-			out.payload = enc.AppendValue(out.payload, []byte(v))
+			out.payload = enc.AppendValue(out.payload, val)
 		}
 		return out
 	}

@@ -19,13 +19,15 @@ import (
 // values, flags anything containing a digit.
 type upperApplier struct{}
 
-func (upperApplier) Apply(s string) (string, bool) {
-	for _, r := range s {
-		if r >= '0' && r <= '9' {
-			return s, false
+func (upperApplier) ChunkApplier() (func(dst []byte, s string) ([]byte, bool), func()) {
+	return func(dst []byte, s string) ([]byte, bool) {
+		for _, r := range s {
+			if r >= '0' && r <= '9' {
+				return append(dst, s...), false
+			}
 		}
-	}
-	return strings.ToUpper(s), true
+		return append(dst, strings.ToUpper(s)...), true
+	}, func() {}
 }
 
 // phoneProgram synthesizes a real verified program over messy phone rows

@@ -105,7 +105,7 @@ func Synthesize(h *cluster.Hierarchy, target pattern.Pattern, opts Options) *Res
 
 	// Clean-row detection matches every row against one pattern: shard the
 	// rows, share one cached compiled target across shards (and with the
-	// later Transform).
+	// engine that later applies the program).
 	tgt := rematch.CompileCached(target.Tokens())
 	clean := make([]bool, len(h.Data))
 	parallel.For(opts.Workers, len(h.Data), func(i int) {
@@ -393,34 +393,4 @@ func (r *Result) Refine(srcIdx int) error {
 	}
 	r.Sources = append(r.Sources[:srcIdx], append(solved, r.Sources[srcIdx+1:]...)...)
 	return nil
-}
-
-// Transform applies the synthesized program to the profiled data: rows
-// already matching the target are copied through; rows covered by no source
-// are copied through and flagged. Rows are independent, so application is
-// sharded across the configured workers; output rows are written by index
-// and flagged indices gathered in shard order, so both are byte-identical
-// to a serial scan.
-func (r *Result) Transform() (out []string, flagged []int) {
-	data := r.Hierarchy.Data
-	prog := r.Program().Compile()
-	target := rematch.CompileCached(r.Target.Tokens())
-	out = make([]string, len(data))
-	flagged = parallel.Gather(r.opts.Workers, len(data), func(lo, hi int, emit func(int)) {
-		for i := lo; i < hi; i++ {
-			s := data[i]
-			if target.Matches(s) {
-				out[i] = s
-				continue
-			}
-			t, err := prog.Apply(s)
-			if err != nil {
-				out[i] = s
-				emit(i)
-				continue
-			}
-			out[i] = t
-		}
-	})
-	return out, flagged
 }

@@ -8,7 +8,8 @@ import (
 	"sort"
 	"strings"
 
-	"clx/internal/cluster"
+	clx "clx"
+
 	"clx/internal/synth"
 )
 
@@ -20,7 +21,7 @@ type ColumnMap struct {
 	Score float64
 	// Transform is the synthesized string-level transformation for the
 	// column's values; nil when the formats already agree.
-	Transform *synth.Result
+	Transform *clx.Transformation
 }
 
 // Mapping is a full source-to-target column alignment.
@@ -146,11 +147,13 @@ func TransformTable(src, dst Table) (Table, Mapping, [][2]int, error) {
 		target := ds.Columns[cm.Dst].Pattern
 		transformed := values
 		if !target.IsEmpty() && !allMatch(values, target) {
-			h := cluster.Profile(values, cluster.DefaultOptions())
-			res := synth.Synthesize(h, target, synth.DefaultOptions())
-			cm.Transform = res
+			tr, err := clx.NewSession(values).Label(target)
+			if err != nil {
+				return Table{}, Mapping{}, nil, err
+			}
+			cm.Transform = tr
 			var flaggedRows []int
-			transformed, flaggedRows = res.Transform()
+			transformed, flaggedRows = tr.Run()
 			for _, ri := range flaggedRows {
 				flagged = append(flagged, [2]int{ri, cm.Dst})
 			}

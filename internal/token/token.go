@@ -9,6 +9,7 @@ package token
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -167,25 +168,38 @@ func (t Token) IsPlus() bool { return t.Quant == Plus }
 // or a quoted literal like "'@'". Quote and backslash characters inside a
 // literal are backslash-escaped so the rendering always parses back.
 func (t Token) String() string {
+	var buf [32]byte
+	return string(t.AppendString(buf[:0]))
+}
+
+// AppendString appends String's rendering of the token to dst, so a
+// caller rendering many tokens (a pattern key) fills one buffer.
+func (t Token) AppendString(dst []byte) []byte {
 	if t.IsLiteral() {
-		body := strings.ReplaceAll(t.Lit, `\`, `\\`)
-		body = strings.ReplaceAll(body, `'`, `\'`)
-		s := "'" + body + "'"
-		if t.Quant == Plus {
-			return s + "+"
+		dst = append(dst, '\'')
+		for i := 0; i < len(t.Lit); i++ {
+			if c := t.Lit[i]; c == '\\' || c == '\'' {
+				dst = append(dst, '\\')
+			}
+			dst = append(dst, t.Lit[i])
 		}
-		if t.Quant > 1 {
-			return fmt.Sprintf("%s%d", s, t.Quant)
+		dst = append(dst, '\'')
+		switch {
+		case t.Quant == Plus:
+			return append(dst, '+')
+		case t.Quant > 1:
+			return strconv.AppendInt(dst, int64(t.Quant), 10)
 		}
-		return s
+		return dst
 	}
-	if t.Quant == Plus {
-		return t.Class.String() + "+"
+	dst = append(dst, t.Class.String()...)
+	switch t.Quant {
+	case Plus:
+		return append(dst, '+')
+	case 1:
+		return dst
 	}
-	if t.Quant == 1 {
-		return t.Class.String()
-	}
-	return fmt.Sprintf("%s%d", t.Class.String(), t.Quant)
+	return strconv.AppendInt(dst, int64(t.Quant), 10)
 }
 
 // MinLen returns the minimum number of characters the token can match.

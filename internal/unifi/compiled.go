@@ -1,6 +1,7 @@
 // Compiled programs: a UniFi Switch prepared for applying to many rows.
 // Each case's source pattern is compiled once (quick rejects + pooled
 // matcher state) and plans are evaluated directly over the match spans.
+// A plain Program is compiled through its Lift.
 package unifi
 
 import (
@@ -16,44 +17,6 @@ import (
 // paths: one buffer serves every candidate case of a row, replacing the
 // per-case span allocation inside Compiled.Match.
 var spanBufs = sync.Pool{New: func() any { return new([]rematch.Span) }}
-
-// CompiledProgram is a Program prepared for repeated application. It is
-// safe for concurrent use.
-type CompiledProgram struct {
-	cases []compiledCase
-}
-
-type compiledCase struct {
-	matcher *rematch.Compiled
-	plan    Plan
-}
-
-// Compile prepares the program for repeated application. Case matchers
-// come from the process-wide compile cache, so recompiling the same program
-// — or another program sharing source patterns, e.g. across clxd requests
-// over similar columns — reuses the prepared matchers.
-func (pr Program) Compile() *CompiledProgram {
-	cp := &CompiledProgram{cases: make([]compiledCase, len(pr.Cases))}
-	for i, c := range pr.Cases {
-		cp.cases[i] = compiledCase{
-			matcher: rematch.CompileCached(c.Source.Tokens()),
-			plan:    c.Plan,
-		}
-	}
-	return cp
-}
-
-// Apply transforms s with the first matching case, like Program.Apply.
-func (cp *CompiledProgram) Apply(s string) (string, error) {
-	for _, c := range cp.cases {
-		spans, ok := c.matcher.Match(s)
-		if !ok {
-			continue
-		}
-		return c.plan.applySpans(s, spans)
-	}
-	return "", ErrNoMatch
-}
 
 // CompiledGuardedProgram is a GuardedProgram prepared for repeated
 // application — the serving-time hot path. GuardedProgram.Apply resolves

@@ -79,7 +79,8 @@ func TestGuardedProgramString(t *testing.T) {
 	}
 }
 
-// CompiledProgram behaves exactly like Program on every input.
+// A compiled Program (through its Lift) behaves exactly like Program on
+// every input.
 func TestCompiledProgramEquivalence(t *testing.T) {
 	prog := Program{Cases: []Case{
 		{
@@ -95,7 +96,7 @@ func TestCompiledProgramEquivalence(t *testing.T) {
 			}},
 		},
 	}}
-	cp := prog.Compile()
+	cp := prog.Lift().Compile()
 	inputs := []string{
 		"(734) 645-8397", "734.236.3466", "N/A", "", "(99) 111-2222",
 		"(123) 456-7890", "111.222.3333",
@@ -117,7 +118,7 @@ func TestCompiledProgramConcurrent(t *testing.T) {
 			Extract{1, 1}, ConstStr{"-"}, Extract{3, 3}, ConstStr{"-"}, Extract{5, 5},
 		}},
 	}}}
-	cp := prog.Compile()
+	cp := prog.Lift().Compile()
 	done := make(chan bool, 4)
 	for g := 0; g < 4; g++ {
 		go func() {

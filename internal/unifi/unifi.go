@@ -107,30 +107,7 @@ func (p Plan) Apply(source pattern.Pattern, s string) (string, error) {
 // Apply transforms s with the first matching case. It returns ErrNoMatch
 // when no case applies — such records are left unchanged and flagged for
 // review by callers (paper §6.1).
-func (pr Program) Apply(s string) (string, error) {
-	for _, c := range pr.Cases {
-		if c.Source.Matches(s) {
-			return c.Plan.Apply(c.Source, s)
-		}
-	}
-	return "", ErrNoMatch
-}
-
-// Transform applies the program to every string of data. Unmatched rows are
-// copied through unchanged and their indices returned in flagged.
-func (pr Program) Transform(data []string) (out []string, flagged []int) {
-	out = make([]string, len(data))
-	for i, s := range data {
-		t, err := pr.Apply(s)
-		if err != nil {
-			out[i] = s
-			flagged = append(flagged, i)
-			continue
-		}
-		out[i] = t
-	}
-	return out, flagged
-}
+func (pr Program) Apply(s string) (string, error) { return pr.Lift().Apply(s) }
 
 // Equal reports structural equality of two plans.
 func (p Plan) Equal(q Plan) bool {

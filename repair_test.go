@@ -107,13 +107,19 @@ func checkFlagged(t *testing.T, name string, tr *Transformation) {
 // fresh labeling has one source repaired with examples taken from the
 // task's desired outputs and, when that repair takes, is checked too.
 func suiteTransformations(t *testing.T, check func(name string, tr *Transformation)) {
+	suiteTransformationsWith(t, DefaultOptions(), check)
+}
+
+// suiteTransformationsWith is suiteTransformations with every session
+// opened under opts.
+func suiteTransformationsWith(t *testing.T, opts Options, check func(name string, tr *Transformation)) {
 	tasks := benchsuite.Tasks()
 	if len(tasks) < 47 {
 		t.Fatalf("benchmark suite has %d tasks, want >= 47", len(tasks))
 	}
 	for _, task := range tasks {
 		for _, target := range simuser.SelectTargets(task.Inputs, task.Outputs) {
-			tr, err := NewSession(task.Inputs).Label(target)
+			tr, err := NewSession(task.Inputs, opts).Label(target)
 			if err != nil {
 				continue
 			}
@@ -131,7 +137,7 @@ func suiteTransformations(t *testing.T, check func(name string, tr *Transformati
 					break
 				}
 			}
-			if tr, err = NewSession(task.Inputs).Label(target); err != nil {
+			if tr, err = NewSession(task.Inputs, opts).Label(target); err != nil {
 				t.Fatal(err)
 			}
 			if exampleRepair(tr, task.Inputs, task.Outputs) {

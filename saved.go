@@ -22,13 +22,13 @@ import (
 type SavedProgram struct {
 	target pattern.Pattern
 	prog   unifi.GuardedProgram
-	// compiled and targetM bind the program's matchers once at load, so
-	// the per-row hot path of Apply never rebuilds compile-cache keys.
+	// compiled and targetM bind the program's matchers once, when the
+	// engine is built, so the per-row hot path never rebuilds cache keys.
 	compiled *unifi.CompiledGuardedProgram
 	targetM  *rematch.Compiled
 	// auto is the program fused into a single byte automaton (target
-	// identity case + every guarded case, one scan per row), built once at
-	// load. nil when the compiler can't lower the program; the
+	// identity case + every guarded case, one scan per row), built once
+	// with the engine. nil when the compiler can't lower the program; the
 	// backtracking engine above then serves it — counted in
 	// automaton.GlobalStats.
 	auto *automaton.Machine
@@ -86,6 +86,15 @@ func LoadProgram(data []byte) (*SavedProgram, error) {
 	if err := json.Unmarshal([]byte(fmt.Sprintf(`{"cases":%s}`, sj.Cases)), &prog); err != nil {
 		return nil, err
 	}
+	return newSavedProgram(target, prog), nil
+}
+
+// newSavedProgram binds a program to the serving engine: the target
+// identity check, the fused byte automaton when the program lowers to
+// one, and the compiled backtracking program behind it. LoadProgram and
+// a live Transformation build the same engine, so the rows a user checks
+// are produced by the code that later serves the program.
+func newSavedProgram(target pattern.Pattern, prog unifi.GuardedProgram) *SavedProgram {
 	sp := &SavedProgram{
 		target:   target,
 		prog:     prog,
@@ -98,7 +107,7 @@ func LoadProgram(data []byte) (*SavedProgram, error) {
 	if m, err := automaton.CompileSaved(target, prog); err == nil {
 		sp.auto = m
 	}
-	return sp, nil
+	return sp
 }
 
 // HasAutomaton reports whether the program compiled to the fused byte
@@ -137,6 +146,19 @@ func (sp *SavedProgram) Sources() []Pattern {
 	return out
 }
 
+// Guarded reports whether some case carries a content guard. Only then can
+// a row match a recorded source pattern and still be left unchanged: its
+// keyword is in none of the guarded groups. Unguarded programs flag exactly
+// the rows that match no recorded pattern.
+func (sp *SavedProgram) Guarded() bool {
+	for _, c := range sp.prog.Cases {
+		if c.Guard != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // Apply transforms one value: already-clean values pass through, values of
 // a known format are transformed, anything else is returned unchanged with
 // ok=false.
@@ -167,48 +189,40 @@ func (sp *SavedProgram) Apply(s string) (string, bool) {
 // byte-for-byte the Apply result — the invariant the streaming bulk-apply
 // engine's differential suite pins against Transform.
 func (sp *SavedProgram) AppendApply(dst []byte, s string) ([]byte, bool) {
-	if sp.auto != nil {
-		a := autoArenas.Get().(*automaton.Arena)
-		out, ok := sp.autoAppendApply(a, dst, s)
-		autoArenas.Put(a)
-		return out, ok
-	}
-	if sp.targetM.Matches(s) {
-		return append(dst, s...), true
-	}
-	mark := len(dst)
-	out, err := sp.compiled.AppendApply(dst, s)
-	if err != nil {
-		return append(out[:mark], s...), false
-	}
-	return out, true
+	apply, release := sp.ChunkApplier()
+	defer release()
+	return apply(dst, s)
 }
 
-// autoAppendApply is AppendApply on the automaton with caller-held
-// scratch: uncovered rows and plan errors truncate back to the mark and
-// pass the input through, exactly like the reference path above.
-func (sp *SavedProgram) autoAppendApply(a *automaton.Arena, dst []byte, s string) ([]byte, bool) {
-	mark := len(dst)
-	out, err := sp.auto.AppendApply(dst, s, a)
-	if err != nil {
-		return append(out[:mark], s...), false
-	}
-	return out, true
-}
-
-// ChunkApplier implements the streaming engine's arena fast path
-// (stream.ArenaApplier): the returned apply is AppendApply bound to
+// ChunkApplier implements stream.ChunkApplier, the streaming engine's one
+// program interface: the returned apply is AppendApply bound to
 // chunk-scoped automaton scratch, acquired once here instead of once per
 // row, which is what makes the steady-state streaming path allocation
-// free. Without an automaton it degrades to the plain AppendApply method.
+// free.
 func (sp *SavedProgram) ChunkApplier() (apply func(dst []byte, s string) ([]byte, bool), release func()) {
 	if sp.auto == nil {
-		return sp.AppendApply, func() {}
+		return func(dst []byte, s string) ([]byte, bool) {
+			if sp.targetM.Matches(s) {
+				return append(dst, s...), true
+			}
+			out, err := sp.compiled.AppendApply(dst, s)
+			return settle(out, len(dst), s, err)
+		}, func() {}
 	}
 	a := autoArenas.Get().(*automaton.Arena)
 	return func(dst []byte, s string) ([]byte, bool) {
-		return sp.autoAppendApply(a, dst, s)
+		out, err := sp.auto.AppendApply(dst, s, a)
+		return settle(out, len(dst), s, err)
 	}, func() { autoArenas.Put(a) }
+}
+
+// settle finishes one appended row: an uncovered row or a plan error
+// truncates out back to mark and passes the input s through, ok=false.
+func settle(out []byte, mark int, s string, err error) ([]byte, bool) {
+	if err != nil {
+		return append(out[:mark], s...), false
+	}
+	return out, true
 }
 
 // Transform applies the program to a column, returning the output and the
@@ -217,6 +231,12 @@ func (sp *SavedProgram) ChunkApplier() (apply func(dst []byte, s string) ([]byte
 // serial scan for every worker count.
 func (sp *SavedProgram) Transform(rows []string) (out []string, flagged []int) {
 	defer func(t0 time.Time) { obsApplyDur.Observe(time.Since(t0)) }(time.Now())
+	return sp.transform(rows)
+}
+
+// transform is Transform without the stage timing, so Transformation.Run
+// records its own stage and no histogram counts a row twice.
+func (sp *SavedProgram) transform(rows []string) (out []string, flagged []int) {
 	out = make([]string, len(rows))
 	flagged = parallel.Gather(sp.Workers, len(rows), func(lo, hi int, emit func(int)) {
 		for i := lo; i < hi; i++ {
