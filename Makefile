@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: test race gate fmt-check cover fuzz-smoke apply-parity profile-parity bench bench-profile obs-smoke bench-smoke cluster-smoke cluster-parity session-smoke flake-check
+.PHONY: test race gate fmt-check run-patterns cover fuzz-smoke apply-parity profile-parity bench bench-profile obs-smoke bench-smoke cluster-smoke cluster-parity session-smoke flake-check
 
 # Tier-1: vet + build + unit tests (ROADMAP.md contract).
 test:
@@ -18,15 +18,24 @@ test:
 race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
-# Full gate: gofmt cleanliness, tier-1, race tier, per-package coverage
-# floors, a 10s-per-target fuzz smoke over the seed corpora, the
-# automaton-vs-reference apply-parity smoke, the metrics-overhead smoke
-# test, the benchmark's own smoke test, and the cluster smoke.
-gate: fmt-check test race cover fuzz-smoke apply-parity profile-parity obs-smoke bench-smoke cluster-smoke session-smoke
+# Full gate: gofmt cleanliness, the -run pattern guard, tier-1, race tier,
+# per-package coverage floors, a 10s-per-target fuzz smoke over the seed
+# corpora, the automaton-vs-reference apply-parity smoke, the
+# profile-parity smoke, the metrics-overhead smoke test, the benchmark's
+# own smoke test, and the cluster and session smokes.
+gate: fmt-check run-patterns test race cover fuzz-smoke apply-parity profile-parity obs-smoke bench-smoke cluster-smoke session-smoke
 
 # Formatting: every Go file in the tree must be gofmt-clean.
 fmt-check:
 	test -z "$$(gofmt -l .)"
+
+# Run-pattern guard: every alternative in the -run patterns of the smoke
+# and parity targets below must name an existing test, so deleting or
+# renaming a test cannot silently shrink a gate; the selftest shows the
+# guard failing on a made-up name.
+run-patterns:
+	sh scripts/check_run_patterns.sh
+	sh scripts/check_run_patterns_selftest.sh
 
 # Apply-parity smoke: the byte-automaton engine must produce byte-identical
 # output (rows, flagged indices, errors) to the retained backtracking
@@ -37,12 +46,15 @@ fmt-check:
 apply-parity:
 	$(GO) test -race -run 'TestAutomatonDifferentialBenchSuite|TestOneEngineSuiteWide' .
 
-# Profile-parity smoke: the sharded, mergeable, incremental profile index
-# must emit byte-identical hierarchies to the reference per-row profiler
-# across shard counts (1/4/16), worker counts (1/2/4/8), and append
-# schedules (all-at-once vs four increments), under the race detector.
+# Profile-parity smoke: the profile index — the one profiling plan — must
+# emit hierarchies byte-identical to the reference per-row profiler across
+# shard counts (1/4/16), worker counts (1/2/4/8), and append schedules,
+# whether driven directly, through cluster.Profile, or through a session's
+# create and appends; and a session grown by appends must equal a fresh
+# session over the same column. All under the race detector.
 profile-parity:
-	$(GO) test -race -run 'TestShardedIndexMatchesReference|TestProfileAutoCollapse' ./internal/cluster
+	$(GO) test -race -run 'TestShardedIndexMatchesReference|TestProfileMatchesReference|TestSessionAppendMatchesReference' ./internal/cluster
+	$(GO) test -race -run 'TestAppendAndReprofileMatchesFresh' .
 
 # Coverage floors: every package listed in scripts/cover_floors.txt must
 # stay at or above its floor.
@@ -59,8 +71,8 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchmem .
 
 # Profile hot-path micro-benchmarks with allocation tracking: the
-# zero-allocation tokenizer, the intern table, and the counted profile
-# path against the pre-interning reference implementation.
+# zero-allocation tokenizer, the intern table, and the index-backed
+# Profile against the pre-interning reference implementation.
 bench-profile:
 	$(GO) test -run xxx -bench 'BenchmarkTokenize|BenchmarkIntern|BenchmarkProfile' -benchmem \
 		./internal/tokenize ./internal/intern ./internal/cluster

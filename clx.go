@@ -6,7 +6,9 @@
 //
 //  1. Cluster — the input column is profiled into a hierarchy of pattern
 //     clusters (NewSession), so the user verifies at the pattern level
-//     instead of record by record;
+//     instead of record by record. The session keeps the distinct-value
+//     index it profiled with, so Session.AppendAndReprofile folds in only
+//     the appended rows;
 //  2. Label — the user picks the desired target pattern (Session.Label),
 //     either one of the discovered patterns or a manually specified one;
 //  3. Transform — CLX synthesizes a UniFi program, rendered as regular
@@ -64,8 +66,7 @@ var (
 		"Latency of one pipeline stage.", nil, "stage", "apply")
 )
 
-// Profile-index counters: which execution plan profiling took (the sharded
-// distinct-value index vs the serial counted scan), how much data it
+// Profile-index counters: how many profile passes ran, how much data they
 // chewed through, and how much arrived incrementally via
 // Session.AppendAndReprofile. One set of atomics serves both surfaces —
 // clxd GET /v1/stats reports them as the ProfileIndexCounters JSON
@@ -73,8 +74,6 @@ var (
 var (
 	obsProfileRuns = obs.NewCounter("clx_profile_runs_total",
 		"Completed profile passes (initial sessions and incremental re-profiles).")
-	obsProfileSharded = obs.NewCounter("clx_profile_sharded_runs_total",
-		"Profile passes that ran on the sharded distinct-value index plan.")
 	obsProfileIncremental = obs.NewCounter("clx_profile_incremental_runs_total",
 		"Incremental re-profiles via Session.AppendAndReprofile.")
 	obsProfileRows = obs.NewCounter("clx_profile_rows_total",
@@ -86,14 +85,12 @@ var (
 )
 
 // ProfileIndexCounters is a snapshot of the process-wide profiling
-// counters: every profile pass since process start, split by execution
-// plan, plus the row volume the passes covered. Sharded counts passes on
-// the mergeable distinct-value index; Incremental counts re-profiles of
-// appended data, which reuse the index instead of re-profiling from
-// scratch.
+// counters: every profile pass since process start plus the row volume the
+// passes covered. Every pass runs on the session's distinct-value index;
+// Incremental counts re-profiles of appended data, which fold only the
+// appended rows into the index a session built at create.
 type ProfileIndexCounters struct {
 	Profiles            int64 `json:"profiles"`
-	ShardedProfiles     int64 `json:"sharded_profiles"`
 	IncrementalProfiles int64 `json:"incremental_profiles"`
 	RowsProfiled        int64 `json:"rows_profiled"`
 	AppendedRows        int64 `json:"appended_rows"`
@@ -105,7 +102,6 @@ type ProfileIndexCounters struct {
 func ProfileIndexStats() ProfileIndexCounters {
 	return ProfileIndexCounters{
 		Profiles:            obsProfileRuns.Value(),
-		ShardedProfiles:     obsProfileSharded.Value(),
 		IncrementalProfiles: obsProfileIncremental.Value(),
 		RowsProfiled:        obsProfileRows.Value(),
 		AppendedRows:        obsProfileAppended.Value(),
@@ -117,9 +113,6 @@ func ProfileIndexStats() ProfileIndexCounters {
 // counters.
 func recordProfile(st *cluster.Stats, incremental bool, appended int) {
 	obsProfileRuns.Inc()
-	if st.Sharded {
-		obsProfileSharded.Inc()
-	}
 	if incremental {
 		obsProfileIncremental.Inc()
 		obsProfileAppended.Add(int64(appended))
@@ -200,7 +193,8 @@ type Cluster struct {
 	Count int
 	// Sample is the first member row.
 	Sample string
-	// Rows are the member row indices.
+	// Rows are the member row indices. Session.Clusters shares them with
+	// the session's profile index; callers must not modify them.
 	Rows []int
 }
 
@@ -212,15 +206,14 @@ type Cluster struct {
 // this.
 type Session struct {
 	// data is the session-owned column: NewSession copies the caller's
-	// slice in and Data copies out, so no external code ever aliases it.
-	// It is the same backing slice as h.Data at all times.
+	// slice into the index and Data copies out, so no external code ever
+	// aliases it. It is the same backing slice as h.Data at all times.
 	data  []string
 	opts  Options
 	h     *cluster.Hierarchy
 	stats ProfileStats
-	// ix is the sharded incremental profile index, created lazily by the
-	// first AppendAndReprofile; later appends reuse it so re-profiling
-	// costs O(appended rows), not O(column).
+	// ix is the profile index NewSession built; appends fold into it so
+	// re-profiling costs O(appended rows), not O(column).
 	ix *cluster.Index
 	// gen counts the column-changing re-profiles: it starts at 0 and
 	// advances once per non-empty AppendAndReprofile. Transformations
@@ -231,19 +224,18 @@ type Session struct {
 
 // ProfileStats describes the work the Cluster phase did: input and
 // deduplicated sizes, the leaf pattern count, and the per-phase wall time.
-// The distinct/rows ratio is the lever behind counted profiling — a
+// The distinct/rows ratio is the lever behind the profile index — a
 // dup-heavy column tokenizes each value once, not once per row.
 type ProfileStats struct {
 	// Rows is the input column size; DistinctValues the deduplicated size.
 	Rows, DistinctValues int
 	// LeafPatterns is the number of initial (level-0) pattern clusters.
 	LeafPatterns int
-	// Phase wall times for the profile stages.
+	// Phase wall times for the profile stages: deduplication, tokenize
+	// and intern of new distinct values, the first-seen grouping walk,
+	// constant discovery, and refinement. After an append, Index and
+	// Tokenize cover only the appended rows.
 	Index, Tokenize, Group, Constants, Refine time.Duration
-	// Sharded reports whether profiling ran on the sharded mergeable
-	// distinct-value index (true) or the serial counted scan (false);
-	// output is byte-identical either way.
-	Sharded bool
 }
 
 // profileStatsOf converts the cluster-layer stats to the public mirror.
@@ -257,32 +249,33 @@ func profileStatsOf(st *cluster.Stats) ProfileStats {
 		Group:          st.Group,
 		Constants:      st.Constants,
 		Refine:         st.Refine,
-		Sharded:        st.Sharded,
 	}
 }
 
-// NewSession profiles data into pattern clusters (the Cluster phase).
-// The input slice is copied: mutating it afterwards never changes what
-// the session profiles (strings themselves are immutable).
+// NewSession profiles data into pattern clusters (the Cluster phase) and
+// keeps the profile index it built, so later appends fold in only the new
+// rows. The input slice is copied into the index: mutating it afterwards
+// never changes what the session profiles (strings themselves are
+// immutable).
 func NewSession(data []string, opts ...Options) *Session {
 	defer func(t0 time.Time) { obsProfileDur.Observe(time.Since(t0)) }(time.Now())
 	o := DefaultOptions()
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	owned := append([]string(nil), data...)
-	h, st := cluster.ProfileWithStats(owned, o.clusterOptions())
+	ix := cluster.NewIndex(o.clusterOptions())
+	ix.Add(data)
+	h, st := ix.ProfileWithStats()
 	recordProfile(st, false, 0)
-	return &Session{data: owned, opts: o, h: h, stats: profileStatsOf(st)}
+	return &Session{data: h.Data, opts: o, h: h, stats: profileStatsOf(st), ix: ix}
 }
 
 // AppendAndReprofile appends rows to the session's column and re-profiles
-// it incrementally: the first call builds the session's sharded
-// distinct-value index from the existing column (one full indexing pass);
-// every later call folds only the appended rows into the per-shard counts,
-// tokenizing and interning just the values the session has never seen, and
-// re-runs only grouping and refinement — so a small append re-profiles an
-// order of magnitude faster than profiling the grown column from scratch.
+// it incrementally: it folds only the appended rows into the index
+// NewSession built, tokenizing and interning just the values the session
+// has never seen, and re-runs only grouping and refinement — so a small
+// append re-profiles an order of magnitude faster than profiling the grown
+// column from scratch.
 // The resulting clusters, hierarchy, and stats are byte-identical to
 // NewSession over the concatenated column.
 //
@@ -292,17 +285,11 @@ func NewSession(data []string, opts ...Options) *Session {
 // and Tokenize phases cover only the appended rows' work) is returned.
 func (s *Session) AppendAndReprofile(rows []string) ProfileStats {
 	// An empty append changes nothing: return the current stats without
-	// building the index, re-running any profile phase, or counting a
-	// profile pass. (The first-call indexing pass is paid by the first
-	// append that actually carries rows.)
+	// re-running any profile phase or counting a profile pass.
 	if len(rows) == 0 {
 		return s.stats
 	}
 	defer func(t0 time.Time) { obsProfileDur.Observe(time.Since(t0)) }(time.Now())
-	if s.ix == nil {
-		s.ix = cluster.NewIndex(s.opts.clusterOptions())
-		s.ix.Add(s.data)
-	}
 	s.ix.Add(rows)
 	h, st := s.ix.ProfileWithStats()
 	recordProfile(st, true, len(rows))
@@ -331,6 +318,10 @@ func (s *Session) Generation() uint64 { return s.gen }
 
 // Clusters returns the leaf pattern clusters in first-seen order — the
 // pattern list shown to the user (paper Fig. 3).
+//
+// Each Cluster.Rows is shared with the session's profile index, not
+// copied: writing into it corrupts every later profile of the session,
+// so callers must treat it as read-only (copy it to modify it).
 func (s *Session) Clusters() []Cluster {
 	out := make([]Cluster, 0, len(s.h.Clusters))
 	for _, c := range s.h.Clusters {

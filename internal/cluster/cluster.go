@@ -6,10 +6,8 @@ package cluster
 
 import (
 	"sort"
-	"time"
 
 	"clx/internal/intern"
-	"clx/internal/parallel"
 	"clx/internal/pattern"
 	"clx/internal/token"
 )
@@ -65,14 +63,12 @@ func DefaultOptions() Options {
 
 // Initial tokenizes every string in data and groups equal patterns into
 // clusters (§4.1), in first-seen order. With opts.DiscoverConstants set,
-// constant base tokens are rewritten to literal tokens afterwards.
-//
-// Profiling runs on the counted path (counted.go): identical rows are
-// tokenized once and patterns are hash-consed into intern ids, with output
-// byte-identical to a per-row scan for any worker count.
+// constant base tokens are rewritten to literal tokens afterwards. It is
+// the level-0 half of Profile, run on a fresh Index.
 func Initial(data []string, opts Options) []*Cluster {
-	clusters, _, _ := initialCounted(data, opts, intern.NewTable(), nil)
-	return clusters
+	ix := NewIndex(opts)
+	ix.Add(data)
+	return ix.clusters(&Stats{})
 }
 
 // coalesceConstants merges runs of adjacent fixed literal tokens with
@@ -210,35 +206,12 @@ func Profile(data []string, opts Options) *Hierarchy {
 }
 
 // ProfileWithStats is Profile with per-phase timing and size statistics,
-// for benchmarking and monitoring callers.
-//
-// Two execution plans produce the same bytes: the serial counted scan
-// (counted.go) and the sharded mergeable index (index.go). The sharded
-// plan only pays for itself when real parallelism is available and the
-// column is large enough to amortize shard bookkeeping, so it is selected
-// by effective parallelism — min(resolved workers, GOMAXPROCS) — never by
-// the raw worker request: eight requested workers on a one-CPU machine
-// collapse to the serial plan instead of regressing behind it.
+// for benchmarking and monitoring callers. It profiles through a fresh
+// Index (index.go), the package's one profiling plan.
 func ProfileWithStats(data []string, opts Options) (*Hierarchy, *Stats) {
-	if parallel.Effective(opts.Workers) >= 2 && len(data) >= shardedMinRows {
-		ix := NewIndex(opts)
-		ix.Add(data)
-		return ix.ProfileWithStats()
-	}
-	st := &Stats{}
-	tbl := intern.NewTable()
-	clusters, _, _ := initialCounted(data, opts, tbl, st)
-	leaves := make([]*Node, len(clusters))
-	for i, c := range clusters {
-		leaves[i] = &Node{Pattern: c.Pattern, Level: 0, Leaves: []*Cluster{c}}
-	}
-	h := &Hierarchy{Levels: [][]*Node{leaves}, Clusters: clusters, Data: data}
-	t0 := time.Now()
-	for level, g := range []Strategy{QuantToPlus, LettersToAlpha, AllToAlphaNum} {
-		h.Levels = append(h.Levels, refine(h.Levels[level], g, level+1, tbl))
-	}
-	st.Refine = time.Since(t0)
-	return h, st
+	ix := NewIndex(opts)
+	ix.Add(data)
+	return ix.ProfileWithStats()
 }
 
 // refine is Algorithm 1: it clusters the patterns of one level into parent

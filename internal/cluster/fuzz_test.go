@@ -19,7 +19,7 @@ import (
 // counts, worker counts, and a two-batch append split: shard-local row
 // counts must sum to the input size, the merged distinct multiset must
 // equal the serial one, and the profiled hierarchy must be byte-identical
-// to the serial counted path's.
+// to the reference per-row profiler's.
 func FuzzShardedIndexConservation(f *testing.F) {
 	sep := "\x1f"
 	f.Add("a"+sep+"b"+sep+"a", uint8(2), uint8(4), uint8(1))
@@ -67,13 +67,10 @@ func FuzzShardedIndexConservation(f *testing.F) {
 		}
 
 		// Differential: the sharded, incrementally-built profile matches
-		// the serial counted path (itself pinned to the reference
-		// implementation) byte for byte.
-		serialOpts := opts
-		serialOpts.Workers = 1
-		want := hierarchyFingerprint(Profile(rows, serialOpts))
+		// the reference per-row profiler byte for byte.
+		want := hierarchyFingerprint(referenceProfile(rows, opts))
 		if got := hierarchyFingerprint(ix.Profile()); got != want {
-			t.Fatalf("sharded profile diverges from serial path\ngot:\n%s\nwant:\n%s", got, want)
+			t.Fatalf("sharded profile diverges from reference\ngot:\n%s\nwant:\n%s", got, want)
 		}
 	})
 }

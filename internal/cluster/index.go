@@ -1,10 +1,17 @@
-// The sharded, mergeable, incremental distinct-value index behind Profile.
+// The sharded, mergeable, incremental distinct-value index: the one plan
+// behind Initial, Profile and every session.
 //
-// counted.go collapses a column into its distinct values with one serial
-// left-to-right scan; that scan — and the constant-frequency statistics
-// built over it — is what kept profiling flat as workers grew. Index
-// partitions the distinct-value space by a hash of the value bytes into N
-// independent shards (the same 16-way design as internal/intern), so
+// Real columns repeat — a 20k-row phone column has a handful of shapes —
+// so the index collapses a column into its distinct values, tokenizes each
+// distinct value exactly once, and hash-conses the resulting token
+// sequence into a dense intern.PatternID. Everything downstream (grouping,
+// constant discovery, refinement) works per distinct value or per pattern
+// id instead of per row, while the user-facing outputs — first-seen
+// cluster order, per-row index lists, frozen constants — stay byte-identical
+// to the per-row reference scan (DESIGN.md §9, reference_test.go).
+//
+// The distinct-value space is partitioned by a hash of the value bytes
+// into independent shards (the same 16-way design as internal/intern), so
 // deduplication, tokenization, pattern interning, row counting, and the
 // count-weighted constant-frequency map all run shard-parallel and merge
 // without coordination:
@@ -17,6 +24,12 @@
 //   - pattern identity is an intern.PatternID, already stable under
 //     concurrent interning.
 //
+// The index sizes itself at its first Add from the effective worker count
+// and that batch's size. On one worker, or for a column too small to repay
+// a shard's fixed cost, it has a single shard: the per-shard dedup is then
+// the whole serial scan, and parallel.For runs it inline with no goroutine
+// hand-off.
+//
 // The one thing sharding destroys is first-seen order, which is part of
 // the user contract (cluster order, samples, row lists). Profile restores
 // it with a serial walk over per-row shard/slot references — an array
@@ -24,12 +37,12 @@
 // *incremental*: rows already folded into the cached grouping are never
 // revisited, so Add(rows); Profile() after an append costs O(new rows)
 // plus the (sub-millisecond) refinement rounds, not a full re-profile.
-// Output is byte-identical to the serial counted path — and therefore to
-// referenceProfile — for every shard count, worker count, and append
-// schedule (see index_reference_test.go).
+// Output is byte-identical to referenceProfile for every shard count,
+// worker count, and append schedule (see index_reference_test.go).
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"clx/internal/intern"
@@ -39,56 +52,86 @@ import (
 	"clx/internal/tokenize"
 )
 
-const (
-	// defaultIndexShards mirrors intern's fan-out: enough shards that
-	// profile workers rarely collide, few enough that per-shard maps stay
-	// cache-friendly.
-	defaultIndexShards = 16
-	// shardedMinRows is the column size under which ProfileWithStats keeps
-	// the serial counted path: below it, shard bookkeeping (per-row hashes,
-	// per-chunk bucket lists, goroutine handoff) costs more than the serial
-	// scan it replaces. See TestProfileAutoCollapse.
-	shardedMinRows = 4096
-)
+// defaultIndexShards mirrors intern's fan-out: enough shards that profile
+// workers rarely collide, few enough that per-shard maps stay
+// cache-friendly. It caps the shard count.
+const defaultIndexShards = 16
+
+// minShardRows is the fewest first-batch rows each shard must receive: a
+// shard's fixed cost (bucket map, intern memo, frequency map, routing
+// lists) outweighs a second worker's saving on a 20–200-row column.
+const minShardRows = 2048
+
+// shardCount sizes an index from the first batch it absorbs: the largest
+// power of two that is at most the effective worker count, at most
+// rows/minShardRows, and at most defaultIndexShards — never below 1.
+func shardCount(workers, rows int) int {
+	n := 1
+	for 2*n <= workers && 2*n*minShardRows <= rows && 2*n <= defaultIndexShards {
+		n *= 2
+	}
+	return n
+}
+
+// Stats reports what one profile pass saw and where the time went, for
+// Session.ProfileStats (whose phases the benchmark's per-layer breakdown
+// reads) and callers that monitor profiling cost.
+type Stats struct {
+	// Rows is the input column size; DistinctValues the number of unique
+	// strings in it; LeafPatterns the number of initial clusters.
+	Rows, DistinctValues, LeafPatterns int
+	// Per-phase wall time. Index and Tokenize are the routing and
+	// absorption phases of the Adds since the previous profile
+	// (deduplication, then tokenize+intern of new distinct values); Group,
+	// Constants and Refine are the first-seen walk, constant discovery,
+	// and hierarchy refinement.
+	Index, Tokenize, Group, Constants, Refine time.Duration
+}
 
 // slotRef names one distinct value: the shard owning it and its slot there.
 type slotRef struct {
 	shard, slot int32
 }
 
+// slot is one distinct value of a shard. It is pointer-free apart from the
+// value string, so inserting a distinct value costs amortized growth of one
+// slice.
+type slot struct {
+	value string
+	count int
+	// id is the value's interned initial pattern.
+	id intern.PatternID
+	// next chains slots whose values share a hash (collisions are resolved
+	// by string comparison); -1 ends the chain.
+	next int32
+	// group is the global cluster index the first-seen walk assigned, -1
+	// until the slot has been walked.
+	group int32
+	// stamp is the last Add batch (shard epoch) that touched the slot — an
+	// O(1) probe instead of a per-row map op when batching the constant
+	// frequency updates of one append.
+	stamp int32
+}
+
 // indexShard is one partition of the distinct-value space. All fields are
 // owned by a single worker during Add (rows are routed to exactly one
 // shard) and read-only during Profile.
 type indexShard struct {
-	// buckets maps a value hash to the first slot carrying it; further
-	// slots with the same hash chain through next (collisions resolved by
-	// string comparison). Value and chain are pointer-free, so the dedup
-	// structures are invisible to the garbage collector and inserting a
-	// distinct value allocates nothing beyond amortized slice growth.
+	// buckets maps a value hash to the first slot carrying it.
 	buckets map[uint64]int32
-	next    []int32
-	// values, counts, ids are the shard's distinct values in local
-	// insertion order, their row counts, and their interned patterns.
-	values []string
-	counts []int
-	ids    []intern.PatternID
-	// groupOf caches, per slot, the global cluster index assigned by the
-	// serial first-seen walk (-1 until the slot has been walked).
-	groupOf []int32
+	// slots are the shard's distinct values in local insertion order.
+	slots []slot
 	// cfreq is the count-weighted constant-frequency map over this shard's
 	// values: cfreq[v] = rows whose value contains candidate substring v.
-	// Nil when constant discovery is off.
+	// Unused when constant discovery is off.
 	cfreq map[string]int
-	// stamp marks, per slot, the last Add batch (epoch) that touched it —
-	// an O(1) array probe instead of a per-row map op when batching the
-	// cfreq updates of one append.
-	stamp []int32
 	epoch int32
 }
 
 // group is the cached grouping state of one cluster: its pattern id, its
 // member distinct values in first-seen order, and its member rows in
-// ascending row order. Grown incrementally; never shrinks.
+// ascending row order. Grown only by append; never shrinks or rewrites an
+// element, so a capped subslice of rows is an immutable snapshot.
 type group struct {
 	id      intern.PatternID
 	members []slotRef
@@ -97,12 +140,12 @@ type group struct {
 
 // Index is a sharded, mergeable, incrementally-updatable profile of one
 // growing column. Add appends rows (safe to call repeatedly); Profile
-// materializes the same hierarchy cluster.Profile would produce on the
-// concatenation of every Add so far, reusing all per-shard state so a
-// small append re-profiles in time proportional to the appended rows.
+// materializes the hierarchy of the concatenation of every Add so far,
+// reusing all per-shard state so a small append re-profiles in time
+// proportional to the appended rows.
 //
 // An Index is not safe for concurrent use by multiple goroutines; it is
-// the session-scoped state behind Session.AppendAndReprofile.
+// the session-scoped state behind clx.Session.
 type Index struct {
 	opts   Options
 	mask   uint64
@@ -120,60 +163,48 @@ type Index struct {
 	pendIndex, pendTokenize time.Duration
 }
 
-// NewIndex returns an empty index with the default 16-way sharding.
-func NewIndex(opts Options) *Index { return NewIndexShards(opts, defaultIndexShards) }
+// NewIndex returns an empty index. Its shard count is fixed by its first
+// non-empty Add (see shardCount), so a session's index is sized by the
+// column it is created over.
+func NewIndex(opts Options) *Index {
+	return &Index{
+		opts:      opts,
+		table:     intern.NewTable(),
+		clusterOf: make(map[intern.PatternID]int32),
+	}
+}
 
 // NewIndexShards is NewIndex with an explicit shard count, which must be a
 // power of two (the differential suite pins output equality across 1, 4,
-// and 16 shards; production callers want the default).
+// and 16 shards; production callers want NewIndex).
 func NewIndexShards(opts Options, shards int) *Index {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		panic("cluster: shard count must be a power of two")
 	}
-	ix := &Index{
-		opts:      opts,
-		mask:      uint64(shards - 1),
-		table:     intern.NewTable(),
-		shards:    make([]indexShard, shards),
-		clusterOf: make(map[intern.PatternID]int32, 64),
-	}
-	for s := range ix.shards {
-		ix.shards[s].buckets = make(map[uint64]int32)
-		if opts.DiscoverConstants {
-			ix.shards[s].cfreq = make(map[string]int)
-		}
-	}
+	ix := NewIndex(opts)
+	ix.setShards(shards)
 	return ix
 }
 
-// Rows returns the number of rows added so far.
-func (ix *Index) Rows() int { return len(ix.data) }
-
-// Data returns the concatenation of every Add, in order. The slice is the
-// index's backing store; callers must not mutate it.
-func (ix *Index) Data() []string { return ix.data }
+func (ix *Index) setShards(n int) {
+	ix.mask = uint64(n - 1)
+	ix.shards = make([]indexShard, n)
+}
 
 // DistinctValues returns the merged distinct-value count across shards.
 func (ix *Index) DistinctValues() int {
 	n := 0
 	for s := range ix.shards {
-		n += len(ix.shards[s].values)
+		n += len(ix.shards[s].slots)
 	}
 	return n
 }
 
-// DistinctCounts returns the merged counted multiset: every distinct value
-// with the number of rows carrying it. It exists for conservation checks
-// (fuzzing, stats endpoints); the hot paths never materialize this merge.
-func (ix *Index) DistinctCounts() map[string]int {
-	out := make(map[string]int, ix.DistinctValues())
-	for s := range ix.shards {
-		sh := &ix.shards[s]
-		for d, v := range sh.values {
-			out[v] += sh.counts[d]
-		}
-	}
-	return out
+// touch records the row count, before the current Add batch, of a slot
+// that existed before it.
+type touch struct {
+	slot int32
+	prev int
 }
 
 // Add appends rows to the indexed column. Work is two parallel phases:
@@ -192,25 +223,37 @@ func (ix *Index) Add(rows []string) {
 	ix.rowRef = append(ix.rowRef, make([]slotRef, len(rows))...)
 
 	workers := parallel.Effective(ix.opts.Workers)
+	if ix.shards == nil {
+		ix.setShards(shardCount(workers, len(rows)))
+	}
 	nshards := len(ix.shards)
 
 	// Route: hash each appended row and bucket it per (chunk, shard).
 	// Chunk-major lists let every shard consume its rows in global row
 	// order without any cross-worker handoff — though nothing downstream
 	// depends on that order; first-seen semantics come from the walk in
-	// Profile, never from shard-local insertion order.
+	// Profile, never from shard-local insertion order. A single shard
+	// takes every row, so it needs no list.
 	chunks := parallel.Chunks(workers, len(rows))
 	hashes := make([]uint64, len(rows))
-	routed := make([][][]int32, len(chunks))
+	var routed [][][]int32
+	if nshards > 1 {
+		routed = make([][][]int32, len(chunks))
+	}
 	parallel.For(workers, len(chunks), func(ci int) {
-		lists := make([][]int32, nshards)
+		var lists [][]int32
+		if routed != nil {
+			lists = make([][]int32, nshards)
+			routed[ci] = lists
+		}
 		for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
 			h := intern.HashString(rows[i])
 			hashes[i] = h
-			s := h & ix.mask
-			lists[s] = append(lists[s], int32(i))
+			if lists != nil {
+				s := h & ix.mask
+				lists[s] = append(lists[s], int32(i))
+			}
 		}
-		routed[ci] = lists
 	})
 	t1 := time.Now()
 
@@ -220,60 +263,89 @@ func (ix *Index) Add(rows []string) {
 	// batched per distinct slot — each slot touched by this append
 	// contributes its candidate substrings once, weighted by how many
 	// appended rows carried it — so duplicate-heavy appends never re-walk a
-	// value's tokens per row. Touched slots are tracked with an epoch stamp
-	// per slot, so the per-row cost is one array probe, not a map op.
+	// value's tokens per row. Slots the batch creates are contiguous and
+	// start from zero rows; earlier slots it touches are tracked with an
+	// epoch stamp per slot, so the per-row cost is one array probe, not a
+	// map op.
 	parallel.For(workers, nshards, func(s int) {
 		sh := &ix.shards[s]
+		n := len(rows)
+		if routed != nil {
+			n = 0
+			for ci := range routed {
+				n += len(routed[ci][s])
+			}
+		}
+		if n == 0 {
+			return
+		}
+		if sh.buckets == nil {
+			sh.buckets = make(map[uint64]int32)
+		}
 		buf := make([]token.Token, 0, 32)
 		loc := intern.NewLocal(ix.table)
 		sh.epoch++
-		var touched []int32
-		var prevCounts []int
-		for ci := range routed {
-			for _, ri := range routed[ci][s] {
-				i := int(ri)
-				h := hashes[i]
-				v := ix.data[base+i]
-				head, ok := sh.buckets[h]
-				slot := int32(-1)
-				if ok {
-					for cand := head; cand >= 0; cand = sh.next[cand] {
-						if sh.values[cand] == v {
-							slot = cand
-							break
-						}
+		old := len(sh.slots)
+		var touched []touch
+		absorb := func(i int) {
+			h, v := hashes[i], rows[i]
+			head, ok := sh.buckets[h]
+			si := int32(-1)
+			if ok {
+				for cand := head; cand >= 0; cand = sh.slots[cand].next {
+					if sh.slots[cand].value == v {
+						si = cand
+						break
 					}
 				}
-				if slot < 0 {
-					slot = int32(len(sh.values))
-					if !ok {
-						head = -1
-					}
-					sh.next = append(sh.next, head)
-					sh.buckets[h] = slot
-					sh.values = append(sh.values, v)
-					sh.counts = append(sh.counts, 0)
-					sh.groupOf = append(sh.groupOf, -1)
-					sh.stamp = append(sh.stamp, 0)
-					buf = tokenize.AppendTokenize(buf[:0], v)
-					sh.ids = append(sh.ids, loc.Intern(buf))
+			}
+			if si < 0 {
+				if !ok {
+					head = -1
 				}
-				if sh.cfreq != nil && sh.stamp[slot] != sh.epoch {
-					sh.stamp[slot] = sh.epoch
-					touched = append(touched, slot)
-					prevCounts = append(prevCounts, sh.counts[slot])
+				si = int32(len(sh.slots))
+				sh.buckets[h] = si
+				buf = tokenize.AppendTokenize(buf[:0], v)
+				sh.slots = appendDoubling(sh.slots, slot{value: v, id: loc.Intern(buf), next: head, group: -1, stamp: sh.epoch})
+			}
+			sl := &sh.slots[si]
+			if ix.opts.DiscoverConstants && sl.stamp != sh.epoch {
+				sl.stamp = sh.epoch
+				touched = append(touched, touch{si, sl.count})
+			}
+			sl.count++
+			ix.rowRef[base+i] = slotRef{shard: int32(s), slot: si}
+		}
+		if routed == nil {
+			for i := range rows {
+				absorb(i)
+			}
+		} else {
+			for ci := range routed {
+				for _, ri := range routed[ci][s] {
+					absorb(int(ri))
 				}
-				sh.counts[slot]++
-				ix.rowRef[base+i] = slotRef{shard: int32(s), slot: slot}
 			}
 		}
+		if !ix.opts.DiscoverConstants {
+			return
+		}
+		if sh.cfreq == nil {
+			sh.cfreq = make(map[string]int)
+		}
 		var vals []string
-		for k, slot := range touched {
-			vals = ix.constantCandidates(vals[:0], sh.values[slot], sh.ids[slot])
-			delta := sh.counts[slot] - prevCounts[k]
+		count := func(si int32, delta int) {
+			sl := &sh.slots[si]
+			vals = ix.constantCandidates(vals[:0], sl.value, sl.id)
 			for _, cv := range vals {
 				sh.cfreq[cv] += delta
 			}
+		}
+		for _, tc := range touched {
+			count(tc.slot, sh.slots[tc.slot].count-tc.prev)
+		}
+		for si := old; si < len(sh.slots); si++ {
+			count(int32(si), sh.slots[si].count)
 		}
 	})
 	ix.pendIndex += t1.Sub(t0)
@@ -281,10 +353,11 @@ func (ix *Index) Add(rows []string) {
 }
 
 // constantCandidates appends the distinct candidate substrings of value s
-// under pattern id — the values of non-literal tokens no longer than
-// MaxConstantLen, exactly the substrings discoverConstants counts on the
-// serial path. Initial patterns carry only fixed quantifiers, so spans are
-// a cumulative FixedLen walk.
+// under pattern id: the values of non-literal tokens no longer than
+// MaxConstantLen (§4.1 statistics over tokenized strings). Initial
+// patterns carry only natural-number quantifiers (tokenize never emits
+// '+'), so every token's span is fixed: spans are a cumulative FixedLen
+// walk, with no per-row matching.
 func (ix *Index) constantCandidates(vals []string, s string, id intern.PatternID) []string {
 	off := 0
 	for _, t := range ix.table.Tokens(id) {
@@ -320,32 +393,81 @@ func (ix *Index) frequent(v string) bool {
 
 // walk folds rows [grouped, len(data)) into the cached grouping. The scan
 // is serial and in global row order — the first row carrying a pattern
-// still defines its cluster's position and sample, exactly as the serial
-// counted path's first-seen scan does — but it touches only appended rows:
-// per row, one array read and one int append; per *new* distinct value,
-// one map probe on its pattern id.
+// defines its cluster's position and sample, exactly as the reference
+// per-row scan does — but it touches only appended rows: per row, one
+// array read and one int append; per *new* distinct value, one map probe
+// on its pattern id.
 func (ix *Index) walk() {
 	for i := ix.grouped; i < len(ix.data); i++ {
 		r := ix.rowRef[i]
-		sh := &ix.shards[r.shard]
-		ci := sh.groupOf[r.slot]
-		if ci < 0 {
-			id := sh.ids[r.slot]
-			gi, ok := ix.clusterOf[id]
+		sl := &ix.shards[r.shard].slots[r.slot]
+		if sl.group < 0 {
+			gi, ok := ix.clusterOf[sl.id]
 			if !ok {
 				gi = int32(len(ix.groups))
-				ix.clusterOf[id] = gi
-				ix.groups = append(ix.groups, &group{id: id})
+				ix.clusterOf[sl.id] = gi
+				ix.groups = append(ix.groups, &group{id: sl.id})
 			}
-			ci = gi
-			sh.groupOf[r.slot] = ci
-			g := ix.groups[ci]
-			g.members = append(g.members, r)
+			sl.group = gi
+			g := ix.groups[gi]
+			g.members = appendDoubling(g.members, r)
 		}
-		g := ix.groups[ci]
-		g.rows = append(g.rows, i)
+		g := ix.groups[sl.group]
+		g.rows = appendDoubling(g.rows, i)
 	}
 	ix.grouped = len(ix.data)
+}
+
+// appendDoubling is append with doubling growth. append grows large slices
+// by 1.25×, which allocates about five times the final slice in total; the
+// index's per-value and per-row lists grow to column size.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1)
+	}
+	return append(s, v)
+}
+
+// value returns the distinct value r names.
+func (ix *Index) value(r slotRef) string { return ix.shards[r.shard].slots[r.slot].value }
+
+// clusters materializes the initial clusters (§4.1) of everything added so
+// far, in first-seen order, with constant tokens frozen when
+// opts.DiscoverConstants is set, and records the sizes and the Group and
+// Constants phases in st.
+func (ix *Index) clusters(st *Stats) []*Cluster {
+	t0 := time.Now()
+	ix.walk()
+
+	// Patterns start from the interned base tokens every time (constant
+	// discovery below may specialize them, and an append can break a
+	// previously-discovered constant). Row lists are capped subslices of
+	// the grouping's append-only row lists, so hierarchies returned
+	// earlier stay immutable as the index grows.
+	workers := parallel.Effective(ix.opts.Workers)
+	clusters := make([]*Cluster, len(ix.groups))
+	parallel.For(workers, len(ix.groups), func(i int) {
+		g := ix.groups[i]
+		n := len(g.rows)
+		clusters[i] = &Cluster{
+			Pattern: pattern.Of(ix.table.Tokens(g.id)...),
+			Rows:    g.rows[:n:n],
+			Sample:  ix.value(g.members[0]),
+		}
+	})
+	t1 := time.Now()
+	if ix.opts.DiscoverConstants {
+		parallel.For(workers, len(clusters), func(i int) {
+			ix.freezeConstants(clusters[i], ix.groups[i])
+		})
+	}
+
+	st.Rows = len(ix.data)
+	st.DistinctValues = ix.DistinctValues()
+	st.LeafPatterns = len(clusters)
+	st.Group = t1.Sub(t0)
+	st.Constants = time.Since(t1)
+	return clusters
 }
 
 // Profile materializes the pattern hierarchy of everything added so far.
@@ -359,47 +481,11 @@ func (ix *Index) Profile() *Hierarchy {
 // the previous profile (zero for a pure re-profile), so an incremental
 // re-profile's stats show only the work the append actually caused.
 func (ix *Index) ProfileWithStats() (*Hierarchy, *Stats) {
-	st := &Stats{
-		Sharded:  true,
-		Index:    ix.pendIndex,
-		Tokenize: ix.pendTokenize,
-	}
+	st := &Stats{Index: ix.pendIndex, Tokenize: ix.pendTokenize}
 	ix.pendIndex, ix.pendTokenize = 0, 0
+	clusters := ix.clusters(st)
+
 	t0 := time.Now()
-	ix.walk()
-
-	// Materialize fresh clusters from the cached grouping: patterns start
-	// from the interned base tokens every time (constant discovery below
-	// may specialize them, and an append can break a previously-discovered
-	// constant), and row lists are copied so hierarchies returned earlier
-	// stay immutable as the index grows.
-	workers := parallel.Effective(ix.opts.Workers)
-	clusters := make([]*Cluster, len(ix.groups))
-	parallel.For(workers, len(ix.groups), func(i int) {
-		g := ix.groups[i]
-		first := g.members[0]
-		rows := make([]int, len(g.rows))
-		copy(rows, g.rows)
-		clusters[i] = &Cluster{
-			Pattern: pattern.Of(ix.table.Tokens(g.id)...),
-			Rows:    rows,
-			Sample:  ix.shards[first.shard].values[first.slot],
-		}
-	})
-	t1 := time.Now()
-	if ix.opts.DiscoverConstants {
-		parallel.For(workers, len(clusters), func(i int) {
-			ix.freezeConstants(clusters[i], ix.groups[i])
-		})
-	}
-	t2 := time.Now()
-
-	st.Rows = len(ix.data)
-	st.DistinctValues = ix.DistinctValues()
-	st.LeafPatterns = len(clusters)
-	st.Group = t1.Sub(t0)
-	st.Constants = t2.Sub(t1)
-
 	leaves := make([]*Node, len(clusters))
 	for i, c := range clusters {
 		leaves[i] = &Node{Pattern: c.Pattern, Level: 0, Leaves: []*Cluster{c}}
@@ -408,20 +494,20 @@ func (ix *Index) ProfileWithStats() (*Hierarchy, *Stats) {
 	for level, g := range []Strategy{QuantToPlus, LettersToAlpha, AllToAlphaNum} {
 		h.Levels = append(h.Levels, refine(h.Levels[level], g, level+1, ix.table))
 	}
-	st.Refine = time.Since(t2)
+	st.Refine = time.Since(t0)
 	return h, st
 }
 
-// freezeConstants rewrites c's constant base tokens to literals, checking
-// constancy across the group's distinct members and frequency against the
-// sharded count maps — the same decisions, in the same order, as
-// freezeClusterConstants on the serial path.
+// freezeConstants rewrites c's base tokens whose value is constant across
+// the group's distinct members — identical rows can neither create nor
+// break constancy — and frequent across the column (§4.1 "Find Constant
+// Tokens") into literal tokens.
 func (ix *Index) freezeConstants(c *Cluster, g *group) {
 	if len(g.rows) < ix.opts.MinConstantSupport {
 		return
 	}
 	toks := c.Pattern.Tokens()
-	first := ix.shards[g.members[0].shard].values[g.members[0].slot]
+	first := ix.value(g.members[0])
 	newToks := make([]token.Token, len(toks))
 	copy(newToks, toks)
 	changed := false
@@ -436,7 +522,7 @@ func (ix *Index) freezeConstants(c *Cluster, g *group) {
 		val := first[start : start+l]
 		constant := true
 		for _, m := range g.members[1:] {
-			if ix.shards[m.shard].values[m.slot][start:start+l] != val {
+			if ix.value(m)[start:start+l] != val {
 				constant = false
 				break
 			}

@@ -91,48 +91,44 @@ func TestShardedIndexMatchesReference(t *testing.T) {
 	}
 }
 
-// TestProfileAutoCollapse pins the plan-selection rule: the sharded plan
-// runs only when effective parallelism is at least 2 AND the column is at
-// least shardedMinRows — so a one-CPU machine, a serial request, or a
-// small column all take the serial counted path and can never regress
-// behind it.
-func TestProfileAutoCollapse(t *testing.T) {
-	big, _ := dataset.Phones(shardedMinRows, 6, 77)
-	small := big[:shardedMinRows/8]
+// TestNewIndexShardCount pins how an index sizes itself at its first Add:
+// the largest power of two within effective parallelism — min(resolved
+// workers, GOMAXPROCS) — within first-batch rows / minShardRows, and within
+// the default fan-out. The rule is derived, never configured, and a later
+// Add never resizes.
+func TestNewIndexShardCount(t *testing.T) {
 	cases := []struct {
-		name        string
-		gomaxprocs  int
-		workers     int
-		rows        []string
-		wantSharded bool
+		gomaxprocs, workers, rows, want int
 	}{
-		{"parallel-large", 4, 4, big, true},
-		{"auto-workers-large", 4, 0, big, true},
-		{"one-cpu-many-workers", 1, 8, big, false},
-		{"serial-request-large", 4, 1, big, false},
-		{"parallel-small", 4, 8, small, false},
+		{4, 4, 20, 1},
+		{4, 4, 200, 1},
+		{4, 4, 2*minShardRows - 1, 1},
+		{4, 4, 2 * minShardRows, 2},
+		{4, 4, 4 * minShardRows, 4},
+		{4, 0, 20000, 4},
+		{4, 2, 20000, 2},
+		{4, 3, 20000, 2},
+		{32, 32, 32 * minShardRows, defaultIndexShards},
+		{1, 8, 20000, 1},
+		{1, 0, 20000, 1},
+		{4, 1, 20000, 1},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pinGOMAXPROCS(t, tc.gomaxprocs)
-			opts := DefaultOptions()
-			opts.Workers = tc.workers
-			_, st := ProfileWithStats(tc.rows, opts)
-			if st.Sharded != tc.wantSharded {
-				t.Errorf("GOMAXPROCS=%d workers=%d rows=%d: Sharded=%v, want %v",
-					tc.gomaxprocs, tc.workers, len(tc.rows), st.Sharded, tc.wantSharded)
-			}
-		})
-	}
-
-	// Whichever plan runs, the bytes match.
-	opts := DefaultOptions()
-	opts.Workers = 1
-	want := hierarchyFingerprint(Profile(big, opts))
-	pinGOMAXPROCS(t, 4)
-	opts.Workers = 4
-	if got := hierarchyFingerprint(Profile(big, opts)); got != want {
-		t.Error("sharded plan diverges from serial plan on the same column")
+		pinGOMAXPROCS(t, tc.gomaxprocs)
+		opts := DefaultOptions()
+		opts.Workers = tc.workers
+		ix := NewIndex(opts)
+		rows := make([]string, tc.rows)
+		ix.Add(rows)
+		if got := len(ix.shards); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d workers=%d rows=%d: %d shards, want %d",
+				tc.gomaxprocs, tc.workers, tc.rows, got, tc.want)
+		}
+		ix.Add(make([]string, 32*minShardRows))
+		if got := len(ix.shards); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d workers=%d rows=%d: a later Add resized the index to %d shards",
+				tc.gomaxprocs, tc.workers, tc.rows, got)
+		}
 	}
 }
 
@@ -168,8 +164,8 @@ func TestIndexIncrementalState(t *testing.T) {
 	}
 
 	_, st := ix.ProfileWithStats()
-	if st.Rows != len(rows) || !st.Sharded {
-		t.Errorf("stats = %+v, want Rows=%d Sharded=true", st, len(rows))
+	if st.Rows != len(rows) || st.DistinctValues != len(serial) {
+		t.Errorf("stats = %+v, want Rows=%d DistinctValues=%d", st, len(rows), len(serial))
 	}
 	// Re-profile without an Add: the pending Add timings were consumed.
 	_, st2 := ix.ProfileWithStats()

@@ -198,12 +198,16 @@ func referenceColumns() map[string][]string {
 	return cols
 }
 
-// TestCountedMatchesReference is the central equivalence theorem of the
-// counted-profiling rewrite: for every corpus, option set, and worker
-// count, the optimized Profile emits a hierarchy byte-identical to the
-// reference per-row implementation.
-func TestCountedMatchesReference(t *testing.T) {
-	for name, rows := range referenceColumns() {
+// TestProfileMatchesReference is the central equivalence theorem of the
+// index-backed Profile: for every corpus, option set, and worker count,
+// Profile emits a hierarchy byte-identical to the reference per-row
+// implementation. The reference corpora are small enough to take one shard
+// at any worker count; the large phone column takes one shard per worker.
+func TestProfileMatchesReference(t *testing.T) {
+	pinGOMAXPROCS(t, 4)
+	cols := referenceColumns()
+	cols["phones-large"], _ = dataset.Phones(4*minShardRows, 6, 77)
+	for name, rows := range cols {
 		for _, discover := range []bool{true, false} {
 			opts := DefaultOptions()
 			opts.DiscoverConstants = discover
@@ -213,7 +217,7 @@ func TestCountedMatchesReference(t *testing.T) {
 				opts.Workers = w
 				got := hierarchyFingerprint(Profile(rows, opts))
 				if got != want {
-					t.Errorf("%s discover=%v workers=%d: counted profile diverges from reference\ngot:\n%s\nwant:\n%s",
+					t.Errorf("%s discover=%v workers=%d: profile diverges from reference\ngot:\n%s\nwant:\n%s",
 						name, discover, w, got, want)
 				}
 			}
@@ -245,15 +249,15 @@ func TestInitialMatchesReference(t *testing.T) {
 }
 
 // benchRows is the benchmark corpus: the 20k-row phone column the pipeline
-// experiment uses, which is also adversarial for the counted path (random
-// digits make nearly every row distinct).
+// experiment uses, which is also adversarial for value deduplication
+// (random digits make nearly every row distinct).
 func benchRows(b *testing.B) []string {
 	b.Helper()
 	rows, _ := dataset.Phones(20000, 6, 77)
 	return rows
 }
 
-func BenchmarkProfileCounted(b *testing.B) {
+func BenchmarkProfile(b *testing.B) {
 	rows := benchRows(b)
 	opts := DefaultOptions()
 	opts.Workers = 1

@@ -308,7 +308,6 @@ func TestStatsKeyPaths(t *testing.T) {
 		"profile_index.incremental_profiles",
 		"profile_index.profiles",
 		"profile_index.rows_profiled",
-		"profile_index.sharded_profiles",
 		"replication.last_idx",
 		"replication.records_applied",
 		"replication.snapshots_installed",

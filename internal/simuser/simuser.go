@@ -51,22 +51,25 @@ type CLXResult struct {
 	Outputs []string
 }
 
-// Apply transforms a novel input with the session's final program: inputs
-// already matching a selected target stay unchanged, the first matching
-// case's plan applies otherwise, and unmatched inputs are left as-is
-// (flagged in a real session, §6.1).
-func (r CLXResult) Apply(s string) string {
-	for _, tgt := range r.Targets {
-		if tgt.Matches(s) {
+// Applier returns a function that transforms a novel input with the
+// session's final program: inputs already matching a selected target stay
+// unchanged, the first matching case's plan applies otherwise, and
+// unmatched inputs are left as-is (flagged in a real session, §6.1). The
+// program is lifted to its guarded form once, not per input.
+func (r CLXResult) Applier() func(string) string {
+	prog := unifi.Program{Cases: r.Cases}.Lift()
+	return func(s string) string {
+		for _, tgt := range r.Targets {
+			if tgt.Matches(s) {
+				return s
+			}
+		}
+		out, err := prog.Apply(s)
+		if err != nil {
 			return s
 		}
+		return out
 	}
-	prog := unifi.Program{Cases: r.Cases}
-	out, err := prog.Apply(s)
-	if err != nil {
-		return s
-	}
-	return out
 }
 
 // PlanEvent is one plan-verification interaction of a CLX session.

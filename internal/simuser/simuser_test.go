@@ -5,6 +5,7 @@ import (
 
 	"clx/internal/benchsuite"
 	"clx/internal/dataset"
+	"clx/internal/unifi"
 )
 
 func TestSimulateCLXPhones(t *testing.T) {
@@ -204,5 +205,55 @@ func TestStepsBounded(t *testing.T) {
 		if res.Steps() > bound {
 			t.Errorf("%s: steps = %d exceeds bound %d", task.Name, res.Steps(), bound)
 		}
+	}
+}
+
+// TestApplierLiftsOnce: the applier lifts the session's program once, so
+// transforming the column allocates less than the same routing with the
+// program lifted per row, and returns the same outputs. Allocations are
+// summed over every transformed row: a per-row count would be noisy under
+// the race detector, whose sync.Pool drops items at random.
+func TestApplierLiftsOnce(t *testing.T) {
+	task, _ := benchsuite.ByName("bf-ex3-medical")
+	res := SimulateCLX(task.Inputs, task.Outputs, DefaultOptions())
+	apply := res.Applier()
+	perRow := func(s string) string {
+		for _, tgt := range res.Targets {
+			if tgt.Matches(s) {
+				return s
+			}
+		}
+		out, err := unifi.Program{Cases: res.Cases}.Apply(s)
+		if err != nil {
+			return s
+		}
+		return out
+	}
+	var transformed []string
+	for _, in := range task.Inputs {
+		got, want := apply(in), perRow(in)
+		if got != want {
+			t.Fatalf("applier(%q) = %q, per-row lift gives %q", in, got, want)
+		}
+		if got != in {
+			transformed = append(transformed, in)
+		}
+	}
+	if len(transformed) == 0 {
+		t.Fatal("no row was transformed")
+	}
+	once := testing.AllocsPerRun(200, func() {
+		for _, in := range transformed {
+			apply(in)
+		}
+	})
+	lifted := testing.AllocsPerRun(200, func() {
+		for _, in := range transformed {
+			perRow(in)
+		}
+	})
+	if once >= lifted {
+		t.Errorf("%d transformed rows: %.0f allocs through the applier, %.0f lifting per row; want fewer",
+			len(transformed), once, lifted)
 	}
 }

@@ -94,8 +94,8 @@ type taskUser struct {
 // clxUser and rrUser mentally execute the explained Replace operations: the
 // prediction *is* the tool's behavior.
 func clxUser(in, want []string) taskUser {
-	res := simuser.SimulateCLX(in, want, simuser.DefaultOptions())
-	return taskUser{actual: res.Apply, predict: func(q Question) string { return res.Apply(q.Input) }}
+	apply := simuser.SimulateCLX(in, want, simuser.DefaultOptions()).Applier()
+	return taskUser{actual: apply, predict: func(q Question) string { return apply(q.Input) }}
 }
 
 func rrUser(in, want []string) taskUser {

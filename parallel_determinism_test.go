@@ -79,13 +79,12 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestCountedPathDeterminism stresses the counted-cluster profile path
-// specifically: a dup-heavy column (every distinct value repeated many
-// times) mixed with empties and multi-byte unicode rows, the shapes where
-// value deduplication, count weighting, and literal-run tokenization all
-// carry weight. The fingerprint must be byte-identical across worker
+// TestDupHeavyProfileDeterminism stresses profiling on a dup-heavy column
+// (every distinct value repeated many times) mixed with empties and
+// multi-byte unicode rows, the shapes where value deduplication, count
+// weighting, and literal-run tokenization all carry weight. The fingerprint must be byte-identical across worker
 // counts, with per-row indices intact.
-func TestCountedPathDeterminism(t *testing.T) {
+func TestDupHeavyProfileDeterminism(t *testing.T) {
 	base := []string{
 		"(734) 645-8397", "734-645-8397", "CPT-00350", "N/A", "",
 		"café 12", "Dr. Eran Yahav", "日本語123", "\xff\xfe", "   ",

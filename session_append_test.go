@@ -43,8 +43,8 @@ func TestAppendAndReprofileMatchesFresh(t *testing.T) {
 			prev = cut
 		}
 		st := sess.AppendAndReprofile(rows[prev:])
-		if st.Rows != len(rows) || !st.Sharded {
-			t.Fatalf("cuts %v: stats = %+v, want Rows=%d Sharded=true", cuts, st, len(rows))
+		if st.Rows != len(rows) {
+			t.Fatalf("cuts %v: stats = %+v, want Rows=%d", cuts, st, len(rows))
 		}
 		sameProfile(t, sess, clx.NewSession(rows), "append schedule")
 	}
