@@ -101,22 +101,25 @@ cluster-smoke:
 # clusters, append, label, ranked repair candidates, pick, commit —
 # ending in byte-parity between the committed program's
 # /v1/programs/{id}/apply output and the library path, plus exact
-# session-counter conservation in /v1/stats, under the race detector.
+# session-counter conservation in /v1/stats; two in-process nodes whose
+# session and admission ledgers stay apart in /v1/stats and /metrics;
+# and the /metrics family list of a fresh node. Under the race detector.
 session-smoke:
-	$(GO) test -race -count=1 -run 'TestSessionSmoke|TestClusterSessionLoop' \
+	$(GO) test -race -count=1 \
+		-run 'TestSessionSmoke|TestClusterSessionLoop|TestPerNodeRegistries|TestMetricsFamilies' \
 		./internal/daemon ./internal/fleet
 
 # Flake check (optional; not part of `gate`): every concurrency and
 # conservation test 50 times under the race detector in shuffled order —
 # the session store's lifecycle counters, the matcher cache's eviction
-# books, exact stream-admission accounting, and the cluster smoke's
-# counter reconciliation. The gate runs each of them once; an invariant
+# books, exact stream-admission accounting, per-node ledgers of two
+# in-process servers, and the cluster smoke's counter reconciliation. The gate runs each of them once; an invariant
 # called "pinned" should hold here too.
 flake-check:
 	$(GO) test -race -count=50 -shuffle=on ./internal/sessionstore
 	$(GO) test -race -count=50 -shuffle=on -run 'TestCacheEvictionConservation' ./internal/rematch
 	$(GO) test -race -count=50 -shuffle=on \
-		-run 'TestAdmissionStressExactAccounting|TestAdmissionContendedMix|TestAdmissionSlotReleasedOnDisconnect' \
+		-run 'TestAdmissionStressExactAccounting|TestAdmissionContendedMix|TestAdmissionSlotReleasedOnDisconnect|TestPerNodeRegistries' \
 		./internal/daemon
 	$(GO) test -race -count=50 -shuffle=on -run 'TestClusterSmoke' ./internal/fleet
 

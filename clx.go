@@ -68,46 +68,23 @@ var (
 
 // Profile-index counters: how many profile passes ran, how much data they
 // chewed through, and how much arrived incrementally via
-// Session.AppendAndReprofile. One set of atomics serves both surfaces —
-// clxd GET /v1/stats reports them as the ProfileIndexCounters JSON
-// document and GET /metrics exposes the same series (clx_profile_*).
+// Session.AppendAndReprofile. Every pass runs on the session's
+// distinct-value index; an incremental re-profile folds only the appended
+// rows into the index a session built at create. clxd serves the same
+// counters as clx_profile_* at GET /metrics and under profile_index in
+// GET /v1/stats.
 var (
-	obsProfileRuns = obs.NewCounter("clx_profile_runs_total",
+	obsProfileRuns = obs.NewCounter("clx_profile_runs_total", "profile_index.profiles",
 		"Completed profile passes (initial sessions and incremental re-profiles).")
-	obsProfileIncremental = obs.NewCounter("clx_profile_incremental_runs_total",
+	obsProfileIncremental = obs.NewCounter("clx_profile_incremental_runs_total", "profile_index.incremental_profiles",
 		"Incremental re-profiles via Session.AppendAndReprofile.")
-	obsProfileRows = obs.NewCounter("clx_profile_rows_total",
+	obsProfileRows = obs.NewCounter("clx_profile_rows_total", "profile_index.rows_profiled",
 		"Rows covered by completed profile passes (full column per pass).")
-	obsProfileAppended = obs.NewCounter("clx_profile_appended_rows_total",
+	obsProfileAppended = obs.NewCounter("clx_profile_appended_rows_total", "profile_index.appended_rows",
 		"Rows appended to live sessions via Session.AppendAndReprofile.")
-	obsProfileDistinct = obs.NewCounter("clx_profile_distinct_values_total",
+	obsProfileDistinct = obs.NewCounter("clx_profile_distinct_values_total", "profile_index.distinct_values",
 		"Distinct values across completed profile passes.")
 )
-
-// ProfileIndexCounters is a snapshot of the process-wide profiling
-// counters: every profile pass since process start plus the row volume the
-// passes covered. Every pass runs on the session's distinct-value index;
-// Incremental counts re-profiles of appended data, which fold only the
-// appended rows into the index a session built at create.
-type ProfileIndexCounters struct {
-	Profiles            int64 `json:"profiles"`
-	IncrementalProfiles int64 `json:"incremental_profiles"`
-	RowsProfiled        int64 `json:"rows_profiled"`
-	AppendedRows        int64 `json:"appended_rows"`
-	DistinctValues      int64 `json:"distinct_values"`
-}
-
-// ProfileIndexStats returns a snapshot of the process-wide profile-index
-// counters (clxd serves it under GET /v1/stats).
-func ProfileIndexStats() ProfileIndexCounters {
-	return ProfileIndexCounters{
-		Profiles:            obsProfileRuns.Value(),
-		IncrementalProfiles: obsProfileIncremental.Value(),
-		RowsProfiled:        obsProfileRows.Value(),
-		AppendedRows:        obsProfileAppended.Value(),
-		DistinctValues:      obsProfileDistinct.Value(),
-	}
-}
 
 // recordProfile folds one completed profile pass into the process
 // counters.

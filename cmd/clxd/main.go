@@ -9,19 +9,24 @@
 //	POST /v1/transform  {"rows": [...], "target": "…",  -> program + output
 //	                     "repairs": [{"source":0,"alt":1}]}
 //	POST /v1/apply      {"rows": [...], "program": {…}} -> output (stateless)
-//	GET  /v1/stats      process counters (matcher-cache hit/miss/evict)
-//	GET  /metrics       the same counters and more in Prometheus text format
+//	GET  /v1/stats      counters as JSON: matcher cache, streaming,
+//	                    automaton, profile index, admission, sessions,
+//	                    replication
+//	GET  /metrics       the same counters plus latency histograms, in
+//	                    Prometheus text format
 //	GET  /healthz
 //
 // Every request is traced: a request ID (minted, or taken from an incoming
 // X-Request-ID header) rides the request context into the structured
 // access log — one line per request, -log-format json or text — and into
 // pprof goroutine labels, which worker goroutines inherit, so CPU profiles
-// slice by request. GET /metrics serves the process metric registry
-// (pipeline stage latencies, streaming totals and per-chunk latency,
-// matcher-cache hit/miss/evict, WAL append/compaction timings, HTTP
-// request counts) in the Prometheus text exposition format with no
-// third-party dependency.
+// slice by request. GET /metrics serves the metric registries (pipeline
+// stage latencies, streaming totals and per-chunk latency, matcher-cache
+// hit/miss/evict, WAL append/compaction timings, HTTP request counts,
+// this node's admission and session ledgers) in the Prometheus text
+// exposition format with no third-party dependency. GET /v1/stats renders
+// the same registries as JSON: each counter it shows is the one /metrics
+// shows, read at the moment of the request.
 //
 // Concurrent streaming applies pass an admission semaphore that caps
 // streams in flight at -max-streams (default 2× the CPU count): each
@@ -110,7 +115,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -131,8 +135,8 @@ func main() {
 		"serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables it")
 	logFormat := flag.String("log-format", "text",
 		"structured request-log format: text or json")
-	streams := flag.Int("max-streams", 2*runtime.GOMAXPROCS(0),
-		"concurrent streaming-apply cap; requests over it get 429 + Retry-After")
+	streams := flag.Int("max-streams", 0,
+		"concurrent streaming-apply cap; requests over it get 429 + Retry-After (0 = 2× CPUs)")
 	followersFlag := flag.String("followers", "",
 		"comma-separated follower base URLs; when set this node is a replication "+
 			"leader and ships every registry write to them before acknowledging")

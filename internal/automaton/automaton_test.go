@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clx/internal/automaton"
+	"clx/internal/obs"
 	"clx/internal/pattern"
 	"clx/internal/rematch"
 	"clx/internal/token"
@@ -228,7 +229,7 @@ func (opaqueGuard) String() string                         { return "opaque" }
 func (opaqueGuard) Holds(_ pattern.Pattern, _ string) bool { return true }
 
 func TestAutomatonFallbacks(t *testing.T) {
-	automaton.ResetGlobalStats()
+	before := obs.Default.Stats()
 	plan := unifi.Plan{Ops: []unifi.Op{unifi.ConstStr{S: "y"}}}
 
 	var wide unifi.GuardedProgram
@@ -257,9 +258,11 @@ func TestAutomatonFallbacks(t *testing.T) {
 		t.Fatalf("plain program fell back: %v", err)
 	}
 
-	st := automaton.GlobalStats()
-	if st.Fallback != 3 || st.Compiled != 1 {
-		t.Fatalf("stats = %+v, want 3 fallbacks / 1 compiled", st)
+	after := obs.Default.Stats()
+	fallback := after["automaton.fallback"] - before["automaton.fallback"]
+	compiled := after["automaton.compiled"] - before["automaton.compiled"]
+	if fallback != 3 || compiled != 1 {
+		t.Fatalf("stats moved by %d fallbacks / %d compiled, want 3 / 1", fallback, compiled)
 	}
 }
 

@@ -92,7 +92,7 @@ type caseProg struct {
 // extract automaton. The error names the construct that could not be
 // lowered (a non-TokenIs guard, more than 64 cases, a compilation cap);
 // callers keep the backtracking engine for those programs. Outcomes are
-// counted process-wide (GlobalStats, clx_automaton_* metrics).
+// counted process-wide (clx_automaton_* metrics, automaton in /v1/stats).
 func Compile(gp unifi.GuardedProgram) (*Machine, error) {
 	m, err := compile(nil, gp)
 	count(err)

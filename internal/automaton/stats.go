@@ -1,34 +1,17 @@
-// Process-wide automaton-compilation counters, backed by internal/obs so
-// the same numbers serve GET /v1/stats (JSON) and GET /metrics
-// (Prometheus text). A deployment watches the fallback counter: a nonzero
-// rate means some registered programs still apply through the
+// Process-wide automaton-compilation counters, in the obs default
+// registry: clxd serves them as clx_automaton_* at GET /metrics and under
+// automaton in GET /v1/stats. A deployment watches the fallback counter:
+// a nonzero rate means some registered programs still apply through the
 // backtracking reference engine instead of the fused automaton.
 package automaton
 
 import "clx/internal/obs"
 
 var (
-	mCompiled = obs.NewCounter("clx_automaton_compiled_total",
+	// mCompiled counts programs lowered to automata; mFallback counts
+	// programs that stayed on the backtracking reference engine.
+	mCompiled = obs.NewCounter("clx_automaton_compiled_total", "automaton.compiled",
 		"Guarded programs successfully compiled to fused byte automata.")
-	mFallback = obs.NewCounter("clx_automaton_fallback_total",
+	mFallback = obs.NewCounter("clx_automaton_fallback_total", "automaton.fallback",
 		"Guarded programs the automaton compiler could not lower (served by the backtracking engine).")
 )
-
-// Counters is a snapshot of the process-wide compilation totals.
-type Counters struct {
-	// Compiled counts programs lowered to automata; Fallback counts
-	// programs that stayed on the backtracking reference engine.
-	Compiled int64 `json:"compiled"`
-	Fallback int64 `json:"fallback"`
-}
-
-// GlobalStats returns a snapshot of the process-wide counters.
-func GlobalStats() Counters {
-	return Counters{Compiled: mCompiled.Value(), Fallback: mFallback.Value()}
-}
-
-// ResetGlobalStats zeroes the process counters (tests and benchmarks).
-func ResetGlobalStats() {
-	mCompiled.Reset()
-	mFallback.Reset()
-}

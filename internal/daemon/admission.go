@@ -38,8 +38,11 @@ func (a *semaphoreAdmission) Admit() (release func(), ok bool) {
 	}
 }
 
-// slots reports the configured capacity (for error messages and stats).
+// slots reports the configured capacity (for error messages).
 func (a *semaphoreAdmission) slots() int { return cap(a.sem) }
+
+// held reports the slots taken right now (the in-flight gauge).
+func (a *semaphoreAdmission) held() int { return len(a.sem) }
 
 // durationEWMA is an exponentially weighted moving average over
 // durations, updated lock-free. It backs the Retry-After hint on 429: a

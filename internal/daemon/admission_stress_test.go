@@ -35,31 +35,29 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // startStressServer builds a live HTTP server over the daemon handler
-// with maxStreams slots and returns its base URL and registered program.
-func startStressServer(t *testing.T, slots int) (baseURL, programID string) {
+// with the given admission slots and returns the server, its base URL
+// and a registered program.
+func startStressServer(t *testing.T, slots int) (srv *server, baseURL, programID string) {
 	t.Helper()
-	old := maxStreams
-	maxStreams = slots
-	t.Cleanup(func() { maxStreams = old })
 	st, err := progstore.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st)
+	srv = New(st, Config{MaxStreams: slots})
 	hs := httptest.NewServer(srv.handler())
 	t.Cleanup(hs.Close)
 	mux := srv.handler()
-	return hs.URL, registerPhones(t, mux)
+	return srv, hs.URL, registerPhones(t, mux)
 }
 
 func TestAdmissionStressExactAccounting(t *testing.T) {
 	const slots = 4
 	const contenders = 24
-	baseURL, id := startStressServer(t, slots)
+	srv, baseURL, id := startStressServer(t, slots)
 	streamURL := baseURL + "/v1/programs/" + id + "/apply/stream"
 	client := &http.Client{}
 
-	admitted0, rejected0 := streamsAdmitted.Value(), streamsRejected.Value()
+	admitted0, rejected0 := stat(srv, "admission.admitted"), stat(srv, "admission.rejected")
 
 	// Phase 1: pin all N slots with held-open streams. Each holder runs
 	// in its own goroutine (headers may not flush to the client until the
@@ -90,7 +88,7 @@ func TestAdmissionStressExactAccounting(t *testing.T) {
 			}
 		}(i)
 	}
-	waitFor(t, "all slots held", func() bool { return streamsInFlight.Value() == slots })
+	waitFor(t, "all slots held", func() bool { return stat(srv, "admission.in_flight") == slots })
 
 	// Phase 2: M concurrent contenders against a full semaphore — every
 	// one must come back 429, and the server must count each decision.
@@ -136,12 +134,12 @@ func TestAdmissionStressExactAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "slots all released", func() bool { return streamsInFlight.Value() == 0 })
+	waitFor(t, "slots all released", func() bool { return stat(srv, "admission.in_flight") == 0 })
 
 	// Exact accounting: fired = holders + contenders, every one counted
 	// on exactly one side, and the sides match what clients observed.
-	admittedD := streamsAdmitted.Value() - admitted0
-	rejectedD := streamsRejected.Value() - rejected0
+	admittedD := stat(srv, "admission.admitted") - admitted0
+	rejectedD := stat(srv, "admission.rejected") - rejected0
 	fired := int64(slots + contenders)
 	if admittedD+rejectedD != fired {
 		t.Errorf("admitted %d + rejected %d != fired %d", admittedD, rejectedD, fired)
@@ -159,11 +157,11 @@ func TestAdmissionStressExactAccounting(t *testing.T) {
 // exactly with the client-observed 200/429 split.
 func TestAdmissionContendedMix(t *testing.T) {
 	const contenders = 32
-	baseURL, id := startStressServer(t, 2)
+	srv, baseURL, id := startStressServer(t, 2)
 	streamURL := baseURL + "/v1/programs/" + id + "/apply/stream"
 	client := &http.Client{}
 
-	admitted0, rejected0 := streamsAdmitted.Value(), streamsRejected.Value()
+	admitted0, rejected0 := stat(srv, "admission.admitted"), stat(srv, "admission.rejected")
 	var wg sync.WaitGroup
 	statuses := make([]int, contenders)
 	for i := 0; i < contenders; i++ {
@@ -201,20 +199,20 @@ func TestAdmissionContendedMix(t *testing.T) {
 	if ok200 == 0 {
 		t.Error("no stream was admitted at all")
 	}
-	admittedD := streamsAdmitted.Value() - admitted0
-	rejectedD := streamsRejected.Value() - rejected0
+	admittedD := stat(srv, "admission.admitted") - admitted0
+	rejectedD := stat(srv, "admission.rejected") - rejected0
 	if admittedD != int64(ok200) || rejectedD != int64(got429) {
 		t.Errorf("server admitted/rejected = %d/%d, clients observed %d/%d",
 			admittedD, rejectedD, ok200, got429)
 	}
-	waitFor(t, "in-flight back to zero", func() bool { return streamsInFlight.Value() == 0 })
+	waitFor(t, "in-flight back to zero", func() bool { return stat(srv, "admission.in_flight") == 0 })
 }
 
 // TestAdmissionSlotReleasedOnDisconnect cancels a client mid-stream and
 // checks the slot comes back: the gauge returns to zero and a follow-up
 // stream over a 1-slot server is admitted.
 func TestAdmissionSlotReleasedOnDisconnect(t *testing.T) {
-	baseURL, id := startStressServer(t, 1)
+	srv, baseURL, id := startStressServer(t, 1)
 	streamURL := baseURL + "/v1/programs/" + id + "/apply/stream"
 	client := &http.Client{}
 
@@ -238,13 +236,13 @@ func TestAdmissionSlotReleasedOnDisconnect(t *testing.T) {
 	if _, err := pw.Write([]byte("(313) 263-1192\n")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "stream holding the slot", func() bool { return streamsInFlight.Value() == 1 })
+	waitFor(t, "stream holding the slot", func() bool { return stat(srv, "admission.in_flight") == 1 })
 
 	// Client walks away mid-stream.
 	cancel()
 	pw.CloseWithError(fmt.Errorf("client gone"))
 	<-clientGone
-	waitFor(t, "slot released after disconnect", func() bool { return streamsInFlight.Value() == 0 })
+	waitFor(t, "slot released after disconnect", func() bool { return stat(srv, "admission.in_flight") == 0 })
 
 	// The single slot is usable again.
 	resp2, err := client.Post(streamURL, "text/plain", strings.NewReader("(313) 263-1192\n"))

@@ -81,10 +81,7 @@ func TestRetryAfterSecondsClamps(t *testing.T) {
 // whose stream EWMA says 7s must send Retry-After: 7 on 429, and a fresh
 // server must send the 1s floor.
 func TestRetryAfterHeaderTracksEWMA(t *testing.T) {
-	old := maxStreams
-	maxStreams = 1
-	defer func() { maxStreams = old }()
-	mux, srv := testMuxServer(t)
+	mux, srv := testMuxServer(t, Config{MaxStreams: 1})
 	id := registerPhones(t, mux)
 
 	check := func(want int) {
@@ -114,13 +111,25 @@ func TestRetryAfterHeaderTracksEWMA(t *testing.T) {
 	check(30) // cap
 }
 
-// testMuxServer is testMux exposing the server for EWMA/admission poking.
-func testMuxServer(t *testing.T) (http.Handler, *server) {
+// testMuxServer is testMux over a server built from cfg, exposing the
+// server for EWMA/admission poking.
+func testMuxServer(t *testing.T, cfg Config) (http.Handler, *server) {
 	t.Helper()
 	st, err := progstore.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st)
+	srv := New(st, cfg)
 	return srv.handler(), srv
+}
+
+// stat reads one /v1/stats value of srv through the registries both
+// /v1/stats and /metrics render.
+func stat(srv *server, key string) int64 {
+	for _, reg := range srv.registries() {
+		if v, ok := reg.Stats()[key]; ok {
+			return v
+		}
+	}
+	return 0
 }

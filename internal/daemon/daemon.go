@@ -13,38 +13,19 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	clx "clx"
-	"clx/internal/automaton"
 	"clx/internal/fleet"
 	"clx/internal/obs"
 	"clx/internal/progstore"
-	"clx/internal/rematch"
 	"clx/internal/sessionstore"
-	"clx/internal/stream"
 )
-
-// maxStreams caps concurrent streaming applies: it is the admission
-// semaphore's slot count. Each stream holds up to chunk × MaxInFlight
-// rows, so admission must be bounded for the engine's fixed-memory
-// guarantee to survive a request burst. ~2 streams per CPU keeps the
-// workers busy without stacking windows. A var so tests can override it
-// before newServer; external callers size it via Config.MaxStreams.
-var maxStreams = 2 * runtime.GOMAXPROCS(0)
 
 // maxBody caps every request body; oversized bodies get the 413 envelope.
 // A var so tests can shrink it.
 var maxBody int64 = 32 << 20
-
-// Interactive-session defaults (see sessionstore). Vars so tests can
-// override them before newServer; external callers use Config.
-var (
-	sessionTTL     = 15 * time.Minute
-	sessionMax     = 256
-	sessionNowFunc func() time.Time // nil = time.Now
-)
 
 // Config sizes one daemon server. The zero value is a working
 // single-node daemon: default options, semaphore admission at 2× CPUs,
@@ -53,7 +34,10 @@ type Config struct {
 	// Workers is the per-request goroutine fan-out (0 = one per CPU).
 	Workers int
 	// MaxStreams caps in-flight streaming applies (semaphore admission);
-	// 0 means 2× GOMAXPROCS.
+	// 0 means 2× GOMAXPROCS. Each stream holds up to chunk × MaxInFlight
+	// rows, so admission must be bounded for the engine's fixed-memory
+	// guarantee to survive a request burst; ~2 streams per CPU keeps the
+	// workers busy without stacking windows.
 	MaxStreams int
 	// Logger receives structured access logs; nil logs nothing.
 	Logger *obs.Logger
@@ -79,9 +63,10 @@ type Server = server
 // server carries the shared daemon state: the program registry, the
 // request logger, the streaming admission semaphore, the stream-duration
 // EWMA behind the Retry-After hint, an optional leader-side replicator,
-// and this node's own admission ledger (the process-global obs counters
-// sum over every node in the process; these don't, which is what lets an
-// in-process cluster fixture reconcile per-node 200/429 splits exactly).
+// and this node's own metric registry. The admission ledger and the
+// session repair/commit counts live there rather than in obs.Default, so
+// an in-process cluster fixture reconciles each node's 200/429 split
+// exactly; GET /metrics and GET /v1/stats both render it.
 type server struct {
 	store      *progstore.Store
 	opts       clx.Options
@@ -91,12 +76,9 @@ type server struct {
 	repl       *fleet.Replicator
 	sessions   *sessionstore.Store
 
-	admitted atomic.Int64
-	rejected atomic.Int64
-	inFlight atomic.Int64
-
-	sessionRepairs atomic.Int64
-	sessionCommits atomic.Int64
+	metrics                        obs.Registry
+	admitted, rejected             *obs.Counter
+	sessionRepairs, sessionCommits *obs.Counter
 }
 
 // newSessionStore resolves the session config defaults: ttl 0 → 15m,
@@ -125,7 +107,7 @@ func New(st *progstore.Store, cfg Config) *Server {
 	}
 	opts := clx.DefaultOptions()
 	opts.Workers = cfg.Workers
-	return &server{
+	s := &server{
 		store:     st,
 		opts:      opts,
 		logger:    cfg.Logger,
@@ -133,17 +115,34 @@ func New(st *progstore.Store, cfg Config) *Server {
 		repl:      cfg.Replicator,
 		sessions:  newSessionStore(cfg.SessionTTL, cfg.MaxSessions, cfg.SessionNow),
 	}
+	r := &s.metrics
+	// Admission: admitted + rejected equals the streaming requests that
+	// reached admission on this node, and rejected equals the 429s its
+	// clients saw.
+	s.admitted = r.Counter("clx_streams_admitted_total", "admission.admitted",
+		"Streaming bulk-apply requests admitted by the admission policy.")
+	s.rejected = r.Counter("clx_streams_rejected_total", "admission.rejected",
+		"Streaming bulk-apply requests turned away with 429 (admission policy).")
+	// In-flight is the semaphore slots held right now, never more than
+	// MaxStreams: the load signal the least-loaded routing policy scrapes.
+	r.GaugeFunc("clx_streams_in_flight", "admission.in_flight",
+		"Streaming bulk-apply requests currently holding an admission slot.",
+		func() int64 { return int64(s.admission.held()) })
+	// The hint the next 429 would carry (EWMA of recent stream durations,
+	// floor 1s, cap 30s); /v1/stats only.
+	r.GaugeFunc("", "admission.retry_after_seconds", "Retry-After hint of the next 429.",
+		func() int64 { return int64(s.streamEWMA.retryAfterSeconds()) })
+	s.sessionRepairs = r.Counter("clx_session_repairs_total", "sessions.repairs",
+		"Repairs applied through session endpoints (ranked picks and example feedback).")
+	s.sessionCommits = r.Counter("clx_session_commits_total", "sessions.commits",
+		"Session transformations committed into the program registry.")
+	return s
 }
 
-// newServer is the test-side constructor: it reads the package-level
-// default vars, which the admission and body-cap tests override in place.
-func newServer(st *progstore.Store) *server {
-	return &server{
-		store:     st,
-		opts:      clx.DefaultOptions(),
-		admission: newSemaphoreAdmission(maxStreams),
-		sessions:  newSessionStore(sessionTTL, sessionMax, sessionNowFunc),
-	}
+// registries are what GET /metrics and GET /v1/stats render: the
+// process-wide series, this server's own, and its session store's.
+func (s *server) registries() []*obs.Registry {
+	return []*obs.Registry{obs.Default, &s.metrics, s.sessions.Metrics()}
 }
 
 // Handler is the complete daemon handler: the route mux wrapped in the
@@ -159,7 +158,7 @@ func (s *server) mux() *http.ServeMux {
 		fmt.Fprintln(w, `{"ok":true}`)
 	})
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("GET /metrics", obs.Handler())
+	mux.Handle("GET /metrics", obs.Handler(s.registries()...))
 	mux.HandleFunc("POST /v1/cluster", s.handleCluster)
 	mux.HandleFunc("POST /v1/transform", s.handleTransform)
 	mux.HandleFunc("POST /v1/tables/unify", s.handleUnify)
@@ -256,51 +255,6 @@ func (s *server) handleReplicationStatus(w http.ResponseWriter, _ *http.Request)
 	})
 }
 
-// statsResponse is the GET /v1/stats document: process-level counters a
-// deployment scrapes to watch the daemon — the compiled-matcher cache
-// (hit/miss/evict), the streaming bulk-apply totals, the automaton
-// compilation totals, this node's streaming admission ledger (both sides
-// of every decision, counted per node so a cluster proxy or load
-// generator can reconcile each node's observed 200/429 split exactly),
-// the profile-index counters, and the node's replication position — plus, on a leader, the follower
-// shipping ledger.
-type statsResponse struct {
-	MatcherCache rematch.CacheStats       `json:"matcher_cache"`
-	Streaming    stream.Counters          `json:"streaming"`
-	Automaton    automaton.Counters       `json:"automaton"`
-	Admission    admissionStats           `json:"admission"`
-	ProfileIndex clx.ProfileIndexCounters `json:"profile_index"`
-	Sessions     sessionsStats            `json:"sessions"`
-	Replication  replicationSection       `json:"replication"`
-}
-
-// sessionsStats is the interactive-sessions section of /v1/stats: this
-// node's session-store lifecycle ledger (active = created - evicted -
-// deleted, exactly) plus the repair/commit activity its handlers served.
-type sessionsStats struct {
-	sessionstore.Counters
-	Repairs int64 `json:"repairs"`
-	Commits int64 `json:"commits"`
-}
-
-// admissionStats is the admission section of /v1/stats. The counters are
-// this server's own, not the process totals: an in-process multi-node
-// fixture gets an exact per-node ledger.
-type admissionStats struct {
-	// Admitted and Rejected count every decision on this node;
-	// admitted + rejected equals the streaming requests that reached
-	// admission, and rejected equals the 429s clients saw from it.
-	Admitted int64 `json:"admitted"`
-	Rejected int64 `json:"rejected"`
-	// InFlight is this node's streams-in-flight gauge: the semaphore
-	// slots held right now, never more than MaxStreams. It is the load
-	// signal the least-loaded routing policy scrapes.
-	InFlight int64 `json:"in_flight"`
-	// RetryAfterSeconds is the hint the next 429 would carry (EWMA of
-	// recent stream durations, floor 1s, cap 30s).
-	RetryAfterSeconds int `json:"retry_after_seconds"`
-}
-
 // replicationSection is the replication slice of /v1/stats: every node
 // reports its own log position and apply/install counters; a leader
 // additionally reports its shipping ledger.
@@ -311,7 +265,10 @@ type replicationSection struct {
 	Leader             *fleet.ReplicatorStats `json:"leader,omitempty"`
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+// handleStats serves GET /v1/stats: every metric in the registries that
+// declares a stats key, nested by its "section.field" key — the same
+// counters GET /metrics renders — plus the replication section.
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	rs := s.store.ReplicationStats()
 	repl := replicationSection{
 		LastIdx:            rs.LastIdx,
@@ -322,24 +279,19 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ls := s.repl.Stats()
 		repl.Leader = &ls
 	}
-	writeJSON(w, http.StatusOK, statsResponse{
-		MatcherCache: rematch.Stats(),
-		Streaming:    stream.GlobalStats(),
-		Automaton:    automaton.GlobalStats(),
-		Admission: admissionStats{
-			Admitted:          s.admitted.Load(),
-			Rejected:          s.rejected.Load(),
-			InFlight:          s.inFlight.Load(),
-			RetryAfterSeconds: s.streamEWMA.retryAfterSeconds(),
-		},
-		ProfileIndex: clx.ProfileIndexStats(),
-		Sessions: sessionsStats{
-			Counters: s.sessions.Stats(),
-			Repairs:  s.sessionRepairs.Load(),
-			Commits:  s.sessionCommits.Load(),
-		},
-		Replication: repl,
-	})
+	doc := map[string]any{"replication": repl}
+	for _, reg := range s.registries() {
+		for key, v := range reg.Stats() {
+			section, field, _ := strings.Cut(key, ".")
+			sec, _ := doc[section].(map[string]int64)
+			if sec == nil {
+				sec = make(map[string]int64)
+				doc[section] = sec
+			}
+			sec[field] = v
+		}
+	}
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

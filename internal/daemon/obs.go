@@ -16,16 +16,10 @@ import (
 )
 
 var (
-	httpRequests = obs.NewCounter("clx_http_requests_total",
+	httpRequests = obs.NewCounter("clx_http_requests_total", "",
 		"HTTP requests served by clxd (all endpoints).")
 	httpDur = obs.NewHistogram("clx_http_request_duration_seconds",
 		"End-to-end clxd request latency, middleware included.", nil)
-	streamsInFlight = obs.NewGauge("clx_streams_in_flight",
-		"Streaming bulk-apply requests currently holding an admission slot.")
-	streamsAdmitted = obs.NewCounter("clx_streams_admitted_total",
-		"Streaming bulk-apply requests admitted by the admission policy.")
-	streamsRejected = obs.NewCounter("clx_streams_rejected_total",
-		"Streaming bulk-apply requests turned away with 429 (admission policy).")
 	streamReqDur = obs.NewHistogram("clx_stream_request_duration_seconds",
 		"End-to-end admitted streaming-apply duration (admission to trailer flush).", nil)
 )

@@ -25,7 +25,7 @@ func testMux(t *testing.T) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(st).handler()
+	return New(st, Config{}).handler()
 }
 
 // openMux builds the daemon handler over a persistent registry in dir; the
@@ -36,7 +36,7 @@ func openMux(t *testing.T, dir string) (http.Handler, *progstore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(st).handler(), st
+	return New(st, Config{}).handler(), st
 }
 
 func TestProgramRegistryLifecycle(t *testing.T) {

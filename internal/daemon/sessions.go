@@ -24,7 +24,7 @@ import (
 )
 
 // Per-stage latency of the session endpoints, one labeled series per
-// stage, exported on /metrics and summarized under /v1/stats sessions.
+// stage, exported on /metrics.
 var (
 	sessCreateDur = obs.NewHistogram("clx_session_stage_duration_seconds",
 		"Session endpoint latency by stage.", nil, "stage", "create")
@@ -36,11 +36,6 @@ var (
 		"Session endpoint latency by stage.", nil, "stage", "repair")
 	sessCommitDur = obs.NewHistogram("clx_session_stage_duration_seconds",
 		"Session endpoint latency by stage.", nil, "stage", "commit")
-
-	sessRepairsTotal = obs.NewCounter("clx_session_repairs_total",
-		"Repairs applied through session endpoints (ranked picks and example feedback).")
-	sessCommitsTotal = obs.NewCounter("clx_session_commits_total",
-		"Session transformations committed into the program registry.")
 )
 
 // sessionJSON is the wire form of one session's state.
@@ -450,8 +445,7 @@ func (s *server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sessRepairsTotal.Inc()
-	s.sessionRepairs.Add(1)
+	s.sessionRepairs.Inc()
 	previewRows := 3
 	if req.PreviewRows != nil {
 		previewRows = *req.PreviewRows
@@ -502,8 +496,7 @@ func (s *server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.flushReplication()
-	sessCommitsTotal.Inc()
-	s.sessionCommits.Add(1)
+	s.sessionCommits.Inc()
 	resp := toEntryJSON(entry, true)
 	resp.Flagged = tr.Unmatched()
 	writeJSON(w, http.StatusCreated, resp)

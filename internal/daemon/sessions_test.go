@@ -59,8 +59,7 @@ func TestSessionSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st)
-	h := srv.handler()
+	h := New(st, Config{}).handler()
 
 	seed := []string{"31/12/2019", "28/02/2020", "12-31-2019"}
 	appended := []string{"01/07/2021", "15/08/2021"}
@@ -193,11 +192,10 @@ func TestSessionSmoke(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d %s", code, body)
 	}
-	stats := mustJSON[statsResponse](t, body)
-	ss := stats.Sessions
-	if ss.Created != 1 || ss.Active != 1 || ss.Evicted != 0 || ss.Deleted != 0 ||
-		ss.Repairs != 1 || ss.Commits != 1 {
-		t.Fatalf("sessions stats = %+v", ss)
+	ss := mustJSON[statsDoc](t, body)["sessions"]
+	if ss["created"] != 1 || ss["active"] != 1 || ss["evicted"] != 0 || ss["deleted"] != 0 ||
+		ss["repairs"] != 1 || ss["commits"] != 1 {
+		t.Fatalf("sessions stats = %v", ss)
 	}
 
 	// Delete closes the loop; conservation must hold exactly.
@@ -205,9 +203,9 @@ func TestSessionSmoke(t *testing.T) {
 		t.Fatalf("delete: %d %s", code, body)
 	}
 	_, body, _ = sessionRequest(t, h, "GET", "/v1/stats", "", "")
-	ss = mustJSON[statsResponse](t, body).Sessions
-	if ss.Created-ss.Evicted-ss.Deleted != ss.Active || ss.Active != 0 {
-		t.Fatalf("conservation violated after delete: %+v", ss)
+	ss = mustJSON[statsDoc](t, body)["sessions"]
+	if ss["created"]-ss["evicted"]-ss["deleted"] != ss["active"] || ss["active"] != 0 {
+		t.Fatalf("conservation violated after delete: %v", ss)
 	}
 	if code, body, _ := sessionRequest(t, h, "GET", "/v1/sessions/s-pin-1", "", ""); code != http.StatusNotFound {
 		t.Fatalf("get after delete: %d %s", code, body)
@@ -284,10 +282,7 @@ func TestSessionStale409(t *testing.T) {
 // TestSessionCapacity429 pins the admission envelope: creates past
 // MaxSessions answer 429 with Retry-After, and deleting frees the slot.
 func TestSessionCapacity429(t *testing.T) {
-	oldMax := sessionMax
-	sessionMax = 1
-	defer func() { sessionMax = oldMax }()
-	h := testMux(t)
+	h, _ := testMuxServer(t, Config{MaxSessions: 1})
 
 	if code, body, _ := sessionRequest(t, h, "POST", "/v1/sessions",
 		`{"rows":["a1"]}`, "s-cap-1"); code != http.StatusCreated {
@@ -317,11 +312,10 @@ func TestSessionCapacity429(t *testing.T) {
 func TestSessionTTLEvictionOverHTTP(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	oldTTL, oldNow := sessionTTL, sessionNowFunc
-	sessionTTL = time.Hour
-	sessionNowFunc = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	defer func() { sessionTTL, sessionNowFunc = oldTTL, oldNow }()
-	h := testMux(t)
+	h, _ := testMuxServer(t, Config{
+		SessionTTL: time.Hour,
+		SessionNow: func() time.Time { mu.Lock(); defer mu.Unlock(); return now },
+	})
 
 	if code, body, _ := sessionRequest(t, h, "POST", "/v1/sessions",
 		`{"rows":["a1","b2"]}`, "s-ttl"); code != http.StatusCreated {
@@ -340,9 +334,9 @@ func TestSessionTTLEvictionOverHTTP(t *testing.T) {
 		t.Fatalf("get after expiry: %d %s", code, body)
 	}
 	_, body, _ := sessionRequest(t, h, "GET", "/v1/stats", "", "")
-	ss := mustJSON[statsResponse](t, body).Sessions
-	if ss.Evicted != 1 || ss.Active != 0 || ss.Created != 1 {
-		t.Fatalf("stats after eviction = %+v", ss)
+	ss := mustJSON[statsDoc](t, body)["sessions"]
+	if ss["evicted"] != 1 || ss["active"] != 0 || ss["created"] != 1 {
+		t.Fatalf("stats after eviction = %v", ss)
 	}
 }
 
@@ -424,7 +418,7 @@ func TestSessionLabelResponseMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st)
+	srv := New(st, Config{})
 	mux := srv.handler()
 
 	rows, _ := dataset.Phones(2000, 7, 21)
@@ -497,9 +491,7 @@ func BenchmarkLabelResponse20k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := newServer(st)
-	srv.opts.Workers = 1
-	mux := srv.handler()
+	mux := New(st, Config{Workers: 1}).handler()
 	rows, _ := dataset.Phones(20000, 6, 7919)
 	more, _ := dataset.Phones(1000, 6, 7920)
 	send := func(path string, v any) {
@@ -674,9 +666,7 @@ func BenchmarkRegister(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := newServer(st)
-	srv.opts.Workers = 1
-	mux := srv.handler()
+	mux := New(st, Config{Workers: 1}).handler()
 	rows, _ := dataset.Phones(200, 7, 4242)
 	bodies := make([][]byte, 16)
 	for i := range bodies {

@@ -70,22 +70,14 @@ func (s *server) handleProgramApplyStream(w http.ResponseWriter, r *http.Request
 	// of a hardcoded guess.
 	release, admitted := s.admission.Admit()
 	if !admitted {
-		streamsRejected.Inc()
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.streamEWMA.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("too many concurrent streams (limit %d); retry later", s.admission.slots()))
 		return
 	}
-	streamsAdmitted.Inc()
-	s.admitted.Add(1)
+	s.admitted.Inc()
 	defer release()
-	streamsInFlight.Add(1)
-	s.inFlight.Add(1)
-	defer func() {
-		streamsInFlight.Add(-1)
-		s.inFlight.Add(-1)
-	}()
 	streamStart := time.Now()
 	defer func() {
 		d := time.Since(streamStart)

@@ -214,12 +214,12 @@ func TestStreamApplyClientDisconnect(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
-	var stats statsResponse
+	var stats statsDoc
 	if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Streaming.Streams < 1 || stats.Streaming.Errors < 1 {
-		t.Fatalf("streaming counters = %+v", stats.Streaming)
+	if sc := stats["streaming"]; sc["streams"] < 1 || sc["errors"] < 1 {
+		t.Fatalf("streaming counters = %v", sc)
 	}
 }
 
@@ -231,7 +231,7 @@ func TestStreamApplyClientDisconnect(t *testing.T) {
 // behind its own unsent rows for over a minute — and silently discards
 // the drained rows from the apply.
 func TestStreamApplyFullDuplexTrickle(t *testing.T) {
-	mux, _ := testMuxServer(t)
+	mux, _ := testMuxServer(t, Config{})
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 

@@ -170,10 +170,10 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	// The Prometheus surfaces exist on both tiers: the proxy serves its
-	// own routing counters, the nodes their replication counters. (Values
-	// are process-global across in-process fixtures, so exact conservation
-	// is asserted on the per-instance stats above; here the series just
-	// have to be exposed.)
+	// own routing counters, the nodes their replication counters and
+	// admission gauge. (Replication and proxy series are process-global
+	// across in-process fixtures, so here the series just have to be
+	// exposed; the admission ledger above is per node on both endpoints.)
 	mustExpose := func(baseURL, series string) {
 		t.Helper()
 		resp, err := http.Get(baseURL + "/metrics")

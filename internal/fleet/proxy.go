@@ -35,11 +35,11 @@ import (
 )
 
 var (
-	mProxyRouted = obs.NewCounter("clx_proxy_routed_total",
+	mProxyRouted = obs.NewCounter("clx_proxy_routed_total", "",
 		"Requests the cluster proxy routed to a backend (policy-picked or leader-pinned).")
-	mProxyRetries = obs.NewCounter("clx_proxy_retries_total",
+	mProxyRetries = obs.NewCounter("clx_proxy_retries_total", "",
 		"Idempotent applies retried on another node after a 429 or transport failure.")
-	mProxyStreamUpstreamFailures = obs.NewCounter("clx_proxy_stream_upstream_failures_total",
+	mProxyStreamUpstreamFailures = obs.NewCounter("clx_proxy_stream_upstream_failures_total", "",
 		"Streams whose routed node failed mid-response; the proxy synthesized the error frame.")
 )
 
@@ -148,7 +148,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// The proxy's own process registry (clx_proxy_routed_total,
 		// clx_proxy_retries_total, ...). Node metrics are per-node by
 		// nature; scrape the nodes directly, not through the proxy.
-		obs.Handler().ServeHTTP(w, r)
+		obs.Handler(obs.Default).ServeHTTP(w, r)
 		return
 	}
 

@@ -33,11 +33,11 @@ import (
 )
 
 var (
-	mShipped = obs.NewCounter("clx_repl_records_shipped_total",
+	mShipped = obs.NewCounter("clx_repl_records_shipped_total", "",
 		"Replication records shipped to followers (one count per record per follower).")
-	mShipErrors = obs.NewCounter("clx_repl_ship_errors_total",
+	mShipErrors = obs.NewCounter("clx_repl_ship_errors_total", "",
 		"Failed replication ship attempts (transport errors and non-2xx responses).")
-	mSnapshotsPushed = obs.NewCounter("clx_repl_snapshots_pushed_total",
+	mSnapshotsPushed = obs.NewCounter("clx_repl_snapshots_pushed_total", "",
 		"Full-state snapshots pushed to followers for resync.")
 )
 

@@ -1,10 +1,10 @@
-// Package obs is the daemon's observability core: process-wide metrics
-// (atomic counters, gauges, fixed-bucket latency histograms) with a
-// Prometheus text-format exporter, request-ID tracing over context, and a
-// structured request logger. Every hot path in the system — the
-// profile/synthesize/transform pipeline, the streaming bulk-apply engine,
-// the compiled-matcher cache, the registry WAL — reports here, and clxd
-// serves the result at GET /metrics.
+// Package obs is the daemon's observability core: metric registries
+// (atomic counters, gauges, fixed-bucket latency histograms) with two
+// renderings — Prometheus text for GET /metrics and a flat key → value
+// map clxd nests into GET /v1/stats — plus request-ID tracing over
+// context and a structured request logger. Every hot path in the system —
+// the profile/synthesize/transform pipeline, the streaming bulk-apply
+// engine, the compiled-matcher cache, the registry WAL — reports here.
 //
 // The package is deliberately dependency-free (stdlib only): the paper's
 // verifiability claim extends to operations — an operator must be able to
@@ -13,15 +13,20 @@
 // Prometheus text exposition format, which every scraper in that ecosystem
 // already speaks, so no client library is needed on either side.
 //
-// Metrics are registered once at package init of the instrumented package
-// (NewCounter et al. return the existing metric on re-registration, so
-// re-wiring in tests is safe) and are updated with single atomic
-// operations; a histogram observation is one atomic add on the matched
-// bucket plus two for count and sum. SetEnabled(false) freezes counters
-// and histograms — the switch the overhead benchmark (BenchmarkObsOverhead)
-// uses to measure the instrumented hot path against the uninstrumented
-// one in the same binary. Gauges stay live even when disabled: they track
-// paired acquire/release state (in-flight streams) that must not drift.
+// Process-wide series register once, at package init of the instrumented
+// package, in Default (NewCounter et al. return the existing metric on
+// re-registration, so re-wiring in tests is safe). A fact that belongs to
+// one instance — a daemon server's admission ledger, a session store's
+// lifecycle counters — registers in a Registry that instance owns. A
+// metric that appears in /v1/stats declares its key there, next to its
+// name, so both documents read the same counter. Updates are single
+// atomic operations; a histogram observation is one atomic add on the
+// matched bucket plus two for count and sum. SetEnabled(false) freezes
+// counters and histograms in every registry — the switch the overhead
+// benchmark (BenchmarkObsOverhead) uses to measure the instrumented hot
+// path against the uninstrumented one in the same binary. Gauges stay
+// live even when disabled: they track level state (a high-water mark,
+// slots held) that must not drift.
 package obs
 
 import (
@@ -160,28 +165,55 @@ func (h *Histogram) Reset() {
 	h.sumNS.Store(0)
 }
 
-// metric is one registered series: a kind, a rendered label set, and the
-// value writer used by the exporter.
+// metric is one registered series: a kind, a rendered label set, its
+// /v1/stats key, and the value the exporters read.
 type metric struct {
 	labels string // rendered `k="v",...` or ""
+	stat   string // /v1/stats key "section.field", or "" (Prometheus only)
 	c      *Counter
 	g      *Gauge
+	fn     func() int64 // a gauge computed when read
 	h      *Histogram
 }
 
+// value is the series' current count or level (counters and gauges).
+func (m *metric) value() int64 {
+	switch {
+	case m.c != nil:
+		return m.c.Value()
+	case m.fn != nil:
+		return m.fn()
+	case m.g != nil:
+		return m.g.Value()
+	}
+	return 0
+}
+
 // family groups series sharing a metric name; HELP/TYPE are emitted once
-// per family.
+// per family. A family with an empty name is a /v1/stats-only value and
+// is never rendered in Prometheus text.
 type family struct {
 	name, help, kind string
 	series           []*metric
 	byLabels         map[string]*metric
 }
 
-var registry struct {
+// Registry is a set of metric families rendered together, in Prometheus
+// text (WritePrometheus) and as the flat key → value map behind clxd's
+// GET /v1/stats (Stats). Default holds the process-wide series; an owner
+// whose facts are its own — one daemon server's admission ledger, one
+// session store's lifecycle counters — keeps its own Registry, so two
+// instances in one process never sum into each other. The zero value is
+// an empty registry ready for use.
+type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
 }
+
+// Default is the process-wide registry NewCounter, NewGauge and
+// NewHistogram register into.
+var Default = new(Registry)
 
 // renderLabels formats alternating key, value pairs as `k="v",...`.
 // Values are escaped per the exposition format.
@@ -208,56 +240,74 @@ func renderLabels(labels []string) string {
 
 // register returns the series for (name, labels), creating family and
 // series as needed. Re-registration with the same name and labels returns
-// the existing series; a kind conflict panics (programmer error).
-func register(name, help, kind string, labels []string) *metric {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.families == nil {
-		registry.families = make(map[string]*family)
+// the existing series; a kind conflict panics (programmer error). An
+// empty name registers a /v1/stats-only value, keyed by its stat.
+func (r *Registry) register(name, stat, help, kind string, labels []string) *metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.families == nil {
+		r.families = make(map[string]*family)
 	}
-	f := registry.families[name]
+	key := name
+	if key == "" {
+		key = stat
+	}
+	f := r.families[key]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind, byLabels: make(map[string]*metric)}
-		registry.families[name] = f
-		registry.order = append(registry.order, name)
+		r.families[key] = f
+		r.order = append(r.order, key)
 	}
 	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", name, kind, f.kind))
+		panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", key, kind, f.kind))
 	}
 	ls := renderLabels(labels)
 	if m, ok := f.byLabels[ls]; ok {
 		return m
 	}
-	m := &metric{labels: ls}
+	m := &metric{labels: ls, stat: stat}
 	f.byLabels[ls] = m
 	f.series = append(f.series, m)
 	return m
 }
 
-// NewCounter registers (or returns) the counter named name. labels are
-// alternating key, value pairs rendered as constant series labels.
-func NewCounter(name, help string, labels ...string) *Counter {
-	m := register(name, help, "counter", labels)
+// Counter registers (or returns) the counter named name. stat is its
+// /v1/stats key ("section.field"; "" keeps it off that document); labels
+// are alternating key, value pairs rendered as constant series labels.
+func (r *Registry) Counter(name, stat, help string, labels ...string) *Counter {
+	m := r.register(name, stat, help, "counter", labels)
 	if m.c == nil {
 		m.c = new(Counter)
 	}
 	return m.c
 }
 
-// NewGauge registers (or returns) the gauge named name.
-func NewGauge(name, help string, labels ...string) *Gauge {
-	m := register(name, help, "gauge", labels)
+// Gauge registers (or returns) the gauge named name; stat as for Counter.
+func (r *Registry) Gauge(name, stat, help string, labels ...string) *Gauge {
+	m := r.register(name, stat, help, "gauge", labels)
 	if m.g == nil {
 		m.g = new(Gauge)
 	}
 	return m.g
 }
 
-// NewHistogram registers (or returns) the histogram named name with the
+// GaugeFunc registers a gauge whose value is f() at read time: a level
+// derived from state the owner already keeps (semaphore slots held,
+// counters' difference), so no second counter has to track it. f runs
+// under the registry lock and must not touch the registry. An empty name
+// makes it a /v1/stats-only value.
+func (r *Registry) GaugeFunc(name, stat, help string, f func() int64) {
+	m := r.register(name, stat, help, "gauge", nil)
+	if m.fn == nil {
+		m.fn = f
+	}
+}
+
+// Histogram registers (or returns) the histogram named name with the
 // given bucket upper bounds in seconds (nil selects DefBuckets). The
 // bounds of the first registration win.
-func NewHistogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	m := register(name, help, "histogram", labels)
+func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
+	m := r.register(name, "", help, "histogram", labels)
 	if m.h == nil {
 		if buckets == nil {
 			buckets = DefBuckets
@@ -269,13 +319,47 @@ func NewHistogram(name, help string, buckets []float64, labels ...string) *Histo
 	return m.h
 }
 
-// WritePrometheus writes every registered metric in the Prometheus text
-// exposition format (version 0.0.4), families in registration order.
-func WritePrometheus(w io.Writer) error {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, name := range registry.order {
-		f := registry.families[name]
+// NewCounter registers (or returns) a counter in Default.
+func NewCounter(name, stat, help string, labels ...string) *Counter {
+	return Default.Counter(name, stat, help, labels...)
+}
+
+// NewGauge registers (or returns) a gauge in Default.
+func NewGauge(name, stat, help string, labels ...string) *Gauge {
+	return Default.Gauge(name, stat, help, labels...)
+}
+
+// NewHistogram registers (or returns) a histogram in Default.
+func NewHistogram(name, help string, buckets []float64, labels ...string) *Histogram {
+	return Default.Histogram(name, help, buckets, labels...)
+}
+
+// Stats returns the value of every series that declares a /v1/stats key,
+// keyed by it.
+func (r *Registry) Stats() map[string]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]int64)
+	for _, key := range r.order {
+		for _, m := range r.families[key].series {
+			if m.stat != "" {
+				out[m.stat] = m.value()
+			}
+		}
+	}
+	return out
+}
+
+// WritePrometheus writes every named family in the Prometheus text
+// exposition format (version 0.0.4), in registration order.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, key := range r.order {
+		f := r.families[key]
+		if f.name == "" {
+			continue
+		}
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
@@ -302,11 +386,8 @@ func writeSeries(w io.Writer, f *family, m *metric) error {
 		}
 	}
 	switch f.kind {
-	case "counter":
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, wrap(""), m.c.Value())
-		return err
-	case "gauge":
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, wrap(""), m.g.Value())
+	case "counter", "gauge":
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, wrap(""), m.value())
 		return err
 	case "histogram":
 		var cum int64
@@ -341,11 +422,15 @@ func formatBound(b float64) string {
 	return s
 }
 
-// Handler serves the registry in Prometheus text format — clxd mounts it
-// at GET /metrics.
-func Handler() http.Handler {
+// Handler serves regs, in order, in Prometheus text format — clxd mounts
+// it at GET /metrics. A family must live in exactly one of them.
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w)
+		for _, reg := range regs {
+			if reg.WritePrometheus(w) != nil {
+				return
+			}
+		}
 	})
 }

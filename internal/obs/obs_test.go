@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	c := NewCounter("test_events_total", "test counter")
+	c := NewCounter("test_events_total", "", "test counter")
 	c.Reset()
 	c.Inc()
 	c.Add(4)
@@ -19,11 +20,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 	// Re-registration returns the same series.
-	if again := NewCounter("test_events_total", "test counter"); again != c {
+	if again := NewCounter("test_events_total", "", "test counter"); again != c {
 		t.Error("re-registration allocated a new counter")
 	}
 
-	g := NewGauge("test_inflight", "test gauge")
+	g := NewGauge("test_inflight", "", "test gauge")
 	g.Reset()
 	g.Add(3)
 	g.Add(-1)
@@ -57,7 +58,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := WritePrometheus(&b); err != nil {
+	if err := Default.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -77,8 +78,8 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestLabeledSeriesShareOneFamily(t *testing.T) {
-	a := NewCounter("test_stage_total", "per-stage counter", "stage", "profile")
-	b := NewCounter("test_stage_total", "per-stage counter", "stage", "synthesize")
+	a := NewCounter("test_stage_total", "", "per-stage counter", "stage", "profile")
+	b := NewCounter("test_stage_total", "", "per-stage counter", "stage", "synthesize")
 	if a == b {
 		t.Fatal("distinct label sets must be distinct series")
 	}
@@ -88,7 +89,7 @@ func TestLabeledSeriesShareOneFamily(t *testing.T) {
 	b.Add(5)
 
 	var sb strings.Builder
-	if err := WritePrometheus(&sb); err != nil {
+	if err := Default.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -106,9 +107,9 @@ func TestLabeledSeriesShareOneFamily(t *testing.T) {
 }
 
 func TestSetEnabledFreezesCountersNotGauges(t *testing.T) {
-	c := NewCounter("test_frozen_total", "freeze test")
+	c := NewCounter("test_frozen_total", "", "freeze test")
 	h := NewHistogram("test_frozen_seconds", "freeze test", nil)
-	g := NewGauge("test_frozen_gauge", "freeze test")
+	g := NewGauge("test_frozen_gauge", "", "freeze test")
 	c.Reset()
 	h.Reset()
 	g.Reset()
@@ -133,9 +134,9 @@ func TestSetEnabledFreezesCountersNotGauges(t *testing.T) {
 }
 
 func TestHandlerServesTextFormat(t *testing.T) {
-	NewCounter("test_handler_total", "handler test").Inc()
+	NewCounter("test_handler_total", "", "handler test").Inc()
 	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	Handler(Default).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("content type = %q", ct)
 	}
@@ -144,8 +145,53 @@ func TestHandlerServesTextFormat(t *testing.T) {
 	}
 }
 
+// TestRegistryRenderings: an instance registry keeps its own series apart
+// from Default and from another instance under the same family name, and
+// its two renderings read the same values — Stats by stats key (computed
+// gauges included), Prometheus text by family name, stats-only values
+// left out of the text.
+func TestRegistryRenderings(t *testing.T) {
+	var a, b Registry
+	ca := a.Counter("test_instance_total", "test.events", "per-instance counter")
+	cb := b.Counter("test_instance_total", "test.events", "per-instance counter")
+	if ca == cb {
+		t.Fatal("two registries share one series")
+	}
+	ca.Add(3)
+	cb.Inc()
+	level := int64(7)
+	a.GaugeFunc("test_instance_level", "test.level", "computed gauge", func() int64 { return level })
+	a.GaugeFunc("", "test.hint", "stats-only value", func() int64 { return 2 })
+
+	if got, want := a.Stats(), map[string]int64{"test.events": 3, "test.level": 7, "test.hint": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("a.Stats() = %v, want %v", got, want)
+	}
+	if got := b.Stats()["test.events"]; got != 1 {
+		t.Errorf("b's counter = %d, want 1", got)
+	}
+	if _, ok := Default.Stats()["test.events"]; ok {
+		t.Error("an instance series leaked into Default")
+	}
+
+	var sb strings.Builder
+	if err := a.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP test_instance_total per-instance counter\n# TYPE test_instance_total counter\ntest_instance_total 3\n" +
+		"# HELP test_instance_level computed gauge\n# TYPE test_instance_level gauge\ntest_instance_level 7\n"
+	if sb.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", sb.String(), want)
+	}
+
+	rec := httptest.NewRecorder()
+	Handler(&a, &b).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if n := strings.Count(rec.Body.String(), "# TYPE test_instance_total counter"); n != 2 {
+		t.Errorf("Handler(a, b) rendered the family %d times, want once per registry", n)
+	}
+}
+
 func TestConcurrentMutation(t *testing.T) {
-	c := NewCounter("test_concurrent_total", "race test")
+	c := NewCounter("test_concurrent_total", "", "race test")
 	h := NewHistogram("test_concurrent_seconds", "race test", nil)
 	c.Reset()
 	h.Reset()

@@ -30,11 +30,11 @@ import (
 // daemon's write-path floor — the first place to look when registrations
 // slow down.
 var (
-	mWALAppends = obs.NewCounter("clx_wal_appends_total",
+	mWALAppends = obs.NewCounter("clx_wal_appends_total", "",
 		"Program-registry WAL records appended (each fsynced).")
 	mWALAppendDur = obs.NewHistogram("clx_wal_append_duration_seconds",
 		"Latency of one fsynced program-registry WAL append.", nil)
-	mCompactions = obs.NewCounter("clx_wal_compactions_total",
+	mCompactions = obs.NewCounter("clx_wal_compactions_total", "",
 		"Program-registry WAL compactions into snapshot.json.")
 	mCompactDur = obs.NewHistogram("clx_wal_compaction_duration_seconds",
 		"Latency of folding the registry WAL into its snapshot.", nil)

@@ -26,9 +26,9 @@ import (
 )
 
 var (
-	mReplApplied = obs.NewCounter("clx_repl_records_applied_total",
+	mReplApplied = obs.NewCounter("clx_repl_records_applied_total", "",
 		"Replication records applied by this process's follower stores.")
-	mReplSnapshots = obs.NewCounter("clx_repl_snapshots_installed_total",
+	mReplSnapshots = obs.NewCounter("clx_repl_snapshots_installed_total", "",
 		"Full-state replication snapshots installed by this process's follower stores.")
 )
 

@@ -26,42 +26,26 @@ import (
 // tests can exercise eviction without compiling thousands of patterns.
 var cacheLimit int64 = 8192
 
-// CacheStats is a snapshot of the compiled-matcher cache counters: lookup
-// hits, misses (each miss compiles), and entries discarded by generation
-// swaps when the size cap is hit. Counters are process-lifetime monotonic;
-// ResetCache drops entries but leaves the counters (a reset is itself an
-// eviction event). The counters live in internal/obs — a long-lived clxd
-// exposes them both at GET /v1/stats and as clx_rematch_cache_* series at
-// GET /metrics.
+// Cache counters: lookup hits, misses (each miss compiles), and entries
+// discarded by generation swaps when the size cap is hit. They are
+// process-lifetime monotonic; ResetCache drops entries but leaves the
+// counters (a reset is itself an eviction event). A long-lived clxd
+// serves them as clx_rematch_cache_* at GET /metrics and under
+// matcher_cache in GET /v1/stats.
 //
-// Conservation invariant (the PR-5 bugfix): once the cache is quiescent,
+// Conservation invariant: once the cache is quiescent,
 // every entry ever inserted is either live in the current generation or
 // booked as an eviction — including inserts that land in a generation
-// *after* a concurrent overflow retired it, which previously vanished
-// unbooked and made hits+misses-evictions drift on a busy daemon.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
+// *after* a concurrent overflow retired it, which once vanished unbooked
+// and made hits+misses-evictions drift on a busy daemon.
 var (
-	cacheHits = obs.NewCounter("clx_rematch_cache_hits_total",
+	cacheHits = obs.NewCounter("clx_rematch_cache_hits_total", "matcher_cache.hits",
 		"Compiled-matcher cache lookups served from the memo.")
-	cacheMisses = obs.NewCounter("clx_rematch_cache_misses_total",
+	cacheMisses = obs.NewCounter("clx_rematch_cache_misses_total", "matcher_cache.misses",
 		"Compiled-matcher cache lookups that compiled a new matcher.")
-	cacheEvictions = obs.NewCounter("clx_rematch_cache_evictions_total",
+	cacheEvictions = obs.NewCounter("clx_rematch_cache_evictions_total", "matcher_cache.evictions",
 		"Compiled matchers discarded by generation swaps (size cap or reset).")
 )
-
-// Stats returns the current cache counters.
-func Stats() CacheStats {
-	return CacheStats{
-		Hits:      cacheHits.Value(),
-		Misses:    cacheMisses.Value(),
-		Evictions: cacheEvictions.Value(),
-	}
-}
 
 // cacheMap is one generation of the memo; overflow swaps in a fresh
 // generation rather than deleting entries one by one.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"clx/internal/obs"
 	"clx/internal/token"
 )
 
@@ -88,6 +89,16 @@ func TestCompileCachedLimitReset(t *testing.T) {
 	}
 }
 
+// cacheCounters is the matcher_cache section of /v1/stats.
+type cacheCounters struct{ Hits, Misses, Evictions int64 }
+
+// readCacheCounters reads the cache counters through the registry that
+// serves /v1/stats and /metrics.
+func readCacheCounters() cacheCounters {
+	st := obs.Default.Stats()
+	return cacheCounters{st["matcher_cache.hits"], st["matcher_cache.misses"], st["matcher_cache.evictions"]}
+}
+
 // TestCacheStatsCounters pins the observable cache accounting: a first
 // compile is a miss, a repeat is a hit, and overflowing the (lowered) size
 // cap books the retired generation's entries as evictions.
@@ -97,11 +108,11 @@ func TestCacheStatsCounters(t *testing.T) {
 	defer func() { cacheLimit = old; ResetCache() }()
 	ResetCache()
 
-	s0 := Stats()
+	s0 := readCacheCounters()
 	p := phonePattern()
 	CompileCached(p)
 	CompileCached(p)
-	s1 := Stats()
+	s1 := readCacheCounters()
 	if got := s1.Misses - s0.Misses; got < 1 {
 		t.Errorf("misses grew by %d, want >= 1", got)
 	}
@@ -115,7 +126,7 @@ func TestCacheStatsCounters(t *testing.T) {
 			t.Fatalf("entry %d mismatched", i)
 		}
 	}
-	s2 := Stats()
+	s2 := readCacheCounters()
 	if s2.Evictions <= s1.Evictions {
 		t.Errorf("evictions did not grow past the size cap: %d -> %d",
 			s1.Evictions, s2.Evictions)
@@ -125,7 +136,7 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionConservation is the PR-5 drift regression: hammer
+// TestCacheEvictionConservation is the eviction-drift regression: hammer
 // CompileCached with unique patterns across many forced generation swaps
 // and assert the counters conserve entries exactly. Every unique pattern
 // is inserted once (misses == inserts); after the final reset retires the
@@ -140,7 +151,7 @@ func TestCacheEvictionConservation(t *testing.T) {
 	defer func() { cacheLimit = old; ResetCache() }()
 	ResetCache()
 
-	s0 := Stats()
+	s0 := readCacheCounters()
 	const goroutines, perG = 8, 800
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -161,7 +172,7 @@ func TestCacheEvictionConservation(t *testing.T) {
 	// then exact: evictions must equal inserts.
 	ResetCache()
 
-	s1 := Stats()
+	s1 := readCacheCounters()
 	if got := s1.Hits - s0.Hits; got != 0 {
 		t.Errorf("unique patterns produced %d hits, want 0", got)
 	}

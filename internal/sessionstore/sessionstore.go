@@ -48,23 +48,6 @@ var (
 	ErrNotFound = errors.New("sessionstore: no such session")
 )
 
-// Process-wide session metrics, exported on /metrics next to the daemon's
-// other clx_* families. Per-store numbers live in Store.Stats; these
-// aggregate across stores (one per daemon in production, several in
-// tests).
-var (
-	obsActive = obs.NewGauge("clx_sessions_active",
-		"Live interactive sessions.")
-	obsCreated = obs.NewCounter("clx_sessions_created_total",
-		"Sessions created.")
-	obsEvicted = obs.NewCounter("clx_sessions_evicted_total",
-		"Sessions evicted by the TTL sweep.")
-	obsDeleted = obs.NewCounter("clx_sessions_deleted_total",
-		"Sessions deleted explicitly.")
-	obsRejected = obs.NewCounter("clx_sessions_rejected_total",
-		"Session creations rejected at MaxSessions capacity.")
-)
-
 // Config parameterizes a Store.
 type Config struct {
 	// TTL is the idle lifetime: a session untouched for longer is
@@ -78,17 +61,6 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Counters is a point-in-time snapshot of one store's lifecycle
-// counters. Active = Created - Evicted - Deleted always holds (the
-// conservation the race test pins).
-type Counters struct {
-	Active   int64 `json:"active"`
-	Created  int64 `json:"created"`
-	Evicted  int64 `json:"evicted"`
-	Deleted  int64 `json:"deleted"`
-	Rejected int64 `json:"rejected"`
-}
-
 // Store is a concurrency-safe registry of live sessions.
 type Store struct {
 	cfg Config
@@ -98,10 +70,13 @@ type Store struct {
 
 	lastSweep atomic.Int64 // unixnano of the last piggybacked sweep
 
-	created  atomic.Int64
-	evicted  atomic.Int64
-	deleted  atomic.Int64
-	rejected atomic.Int64
+	// metrics is this store's own lifecycle ledger: each event bumps one
+	// counter here, and clxd renders the registry both as clx_sessions_*
+	// at GET /metrics and under sessions in GET /v1/stats. Active is
+	// derived, so created - evicted - deleted = active holds exactly (the
+	// conservation the race test pins).
+	metrics                             obs.Registry
+	created, evicted, deleted, rejected *obs.Counter
 }
 
 // Handle is one live session plus the lock serializing access to it.
@@ -150,8 +125,25 @@ func New(cfg Config) *Store {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Store{cfg: cfg, m: make(map[string]*Handle)}
+	st := &Store{cfg: cfg, m: make(map[string]*Handle)}
+	r := &st.metrics
+	st.created = r.Counter("clx_sessions_created_total", "sessions.created", "Sessions created.")
+	st.evicted = r.Counter("clx_sessions_evicted_total", "sessions.evicted", "Sessions evicted by the TTL sweep.")
+	st.deleted = r.Counter("clx_sessions_deleted_total", "sessions.deleted", "Sessions deleted explicitly.")
+	st.rejected = r.Counter("clx_sessions_rejected_total", "sessions.rejected",
+		"Session creations rejected at MaxSessions capacity.")
+	r.GaugeFunc("clx_sessions_active", "sessions.active", "Live interactive sessions.", func() int64 {
+		// Removals first: every removal read here had its create counted
+		// before it, so the later created read covers it and active never
+		// dips below zero mid-update.
+		gone := st.evicted.Value() + st.deleted.Value()
+		return st.created.Value() - gone
+	})
+	return st
 }
+
+// Metrics returns the store's own metric registry (see Store.metrics).
+func (st *Store) Metrics() *obs.Registry { return &st.metrics }
 
 // Create registers a new session over data (the initial profile runs
 // before Create returns, outside the store lock). A non-empty id pins
@@ -171,8 +163,7 @@ func (st *Store) Create(id string, data []string, opts clx.Options) (*Handle, er
 	st.mu.Lock()
 	if st.cfg.MaxSessions > 0 && len(st.m) >= st.cfg.MaxSessions {
 		st.mu.Unlock()
-		st.rejected.Add(1)
-		obsRejected.Inc()
+		st.rejected.Inc()
 		return nil, ErrFull
 	}
 	if _, dup := st.m[id]; dup {
@@ -181,9 +172,7 @@ func (st *Store) Create(id string, data []string, opts clx.Options) (*Handle, er
 	}
 	st.m[id] = h
 	st.mu.Unlock()
-	st.created.Add(1)
-	obsCreated.Inc()
-	obsActive.Add(1)
+	st.created.Inc()
 
 	// The slot is claimed; run the expensive initial profile holding only
 	// the session lock. Concurrent Acquires of this id queue behind it.
@@ -239,9 +228,7 @@ func (st *Store) Delete(id string) bool {
 	flipped := h.tombstone()
 	h.mu.Unlock()
 	if flipped {
-		st.deleted.Add(1)
-		obsDeleted.Inc()
-		obsActive.Add(-1)
+		st.deleted.Inc()
 	}
 	return true
 }
@@ -296,9 +283,7 @@ func (st *Store) evictLocked(h *Handle, cutoff int64) bool {
 	delete(st.m, h.id)
 	st.mu.Unlock()
 	h.tombstone()
-	st.evicted.Add(1)
-	obsEvicted.Inc()
-	obsActive.Add(-1)
+	st.evicted.Inc()
 	return true
 }
 
@@ -379,17 +364,6 @@ func (st *Store) List() []Info {
 	st.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Stats snapshots this store's lifecycle counters.
-func (st *Store) Stats() Counters {
-	return Counters{
-		Active:   st.created.Load() - st.evicted.Load() - st.deleted.Load(),
-		Created:  st.created.Load(),
-		Evicted:  st.evicted.Load(),
-		Deleted:  st.deleted.Load(),
-		Rejected: st.rejected.Load(),
-	}
 }
 
 func (h *Handle) touch(now time.Time) { h.lastUsed.Store(now.UnixNano()) }

@@ -14,6 +14,16 @@ import (
 
 var rows = []string{"415-555-0100", "(212) 555-0102", "646.555.0103"}
 
+// counters is the store's lifecycle ledger as /v1/stats shows it.
+type counters struct{ Active, Created, Evicted, Deleted, Rejected int64 }
+
+// readCounters reads st's ledger through its metric registry.
+func readCounters(st *Store) counters {
+	s := st.Metrics().Stats()
+	return counters{s["sessions.active"], s["sessions.created"], s["sessions.evicted"],
+		s["sessions.deleted"], s["sessions.rejected"]}
+}
+
 // fakeClock is a mutex-protected injectable clock.
 type fakeClock struct {
 	mu sync.Mutex
@@ -66,7 +76,7 @@ func TestCreateAcquireDelete(t *testing.T) {
 	if _, _, err := st.Acquire(h.ID()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Acquire after delete: %v, want ErrNotFound", err)
 	}
-	if c := st.Stats(); c.Created != 1 || c.Deleted != 1 || c.Active != 0 {
+	if c := readCounters(st); c.Created != 1 || c.Deleted != 1 || c.Active != 0 {
 		t.Errorf("counters = %+v", c)
 	}
 }
@@ -95,7 +105,7 @@ func TestCapacityAndRetryAfter(t *testing.T) {
 	if _, err := st.Create("s-over", rows, clx.DefaultOptions()); !errors.Is(err, ErrFull) {
 		t.Fatalf("create past capacity: %v, want ErrFull", err)
 	}
-	if c := st.Stats(); c.Rejected != 1 || c.Created != 2 {
+	if c := readCounters(st); c.Rejected != 1 || c.Created != 2 {
 		t.Errorf("counters = %+v", c)
 	}
 	// Both sessions were touched "now": a full TTL must pass before a
@@ -180,7 +190,7 @@ func TestTTLEvictionDeterminism(t *testing.T) {
 		t.Fatalf("sweep after release+TTL evicted %d, want 1", n)
 	}
 
-	if cts := st.Stats(); cts.Created != 3 || cts.Evicted != 3 || cts.Active != 0 {
+	if cts := readCounters(st); cts.Created != 3 || cts.Evicted != 3 || cts.Active != 0 {
 		t.Errorf("counters = %+v", cts)
 	}
 }
@@ -268,14 +278,14 @@ func TestConcurrentSessions(t *testing.T) {
 	close(stop)
 	sweeperWG.Wait()
 
-	c := st.Stats()
+	c := readCounters(st)
 	live := int64(st.Len())
 	if c.Created-c.Evicted-c.Deleted != live {
 		t.Errorf("gauge conservation violated: created %d - evicted %d - deleted %d != live %d (misses %d)",
 			c.Created, c.Evicted, c.Deleted, live, acquireMisses.Load())
 	}
 	if c.Active != live {
-		t.Errorf("Stats().Active = %d, Len = %d", c.Active, live)
+		t.Errorf("sessions.active = %d, Len = %d", c.Active, live)
 	}
 }
 
@@ -324,7 +334,7 @@ func TestDeleteDuringSweepCountsOnce(t *testing.T) {
 	if sweepHolding(t, st, clk, h, func() {}) {
 		t.Error("sweep evicted a handle Delete had already removed")
 	}
-	c := st.Stats()
+	c := readCounters(st)
 	if c.Created != 1 || c.Deleted != 1 || c.Evicted != 0 || c.Active != 0 || st.Len() != 0 {
 		t.Errorf("counters = %+v, Len = %d; want one create, one delete, nothing live", c, st.Len())
 	}
@@ -354,7 +364,7 @@ func TestSweepSparesRecreatedSession(t *testing.T) {
 		t.Fatalf("re-created session lost to the sweep: got %p (%v), want %p", got, err, fresh)
 	}
 	release()
-	c := st.Stats()
+	c := readCounters(st)
 	if c.Created != 2 || c.Deleted != 1 || c.Evicted != 0 || c.Active != 1 || st.Len() != 1 {
 		t.Errorf("counters = %+v, Len = %d; want two creates, one delete, one live", c, st.Len())
 	}

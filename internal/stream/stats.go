@@ -1,38 +1,26 @@
-// Process-wide streaming counters, backed by internal/obs so one set of
-// numbers serves both surfaces: every Run folds its per-stream stats in
-// here, GET /v1/stats reports them as the JSON Counters document, and
-// GET /metrics exposes the same series (clx_stream_*) in Prometheus text
-// format — no dual bookkeeping to drift.
+// Process-wide streaming counters, in the obs default registry: every Run
+// folds its per-stream stats in here, and clxd serves the same series as
+// clx_stream_* at GET /metrics and under streaming in GET /v1/stats — one
+// set of numbers, no dual bookkeeping to drift.
 package stream
 
 import "clx/internal/obs"
 
-// Counters is a snapshot of the process-wide streaming totals.
-type Counters struct {
-	// Streams counts completed runs; Errors the runs that ended with a
-	// reader or writer error (aborted client included).
-	Streams int64 `json:"streams"`
-	Errors  int64 `json:"errors"`
-	// Rows, Chunks and Flagged accumulate over all runs.
-	Rows    int64 `json:"rows"`
-	Chunks  int64 `json:"chunks"`
-	Flagged int64 `json:"flagged"`
-	// PeakInFlight is the maximum in-flight chunk window any run reached.
-	PeakInFlight int64 `json:"peak_in_flight"`
-}
-
 var (
-	mStreams = obs.NewCounter("clx_streams_total",
+	// mStreams counts completed runs; mStreamErrors the runs that ended
+	// with a reader or writer error (aborted client included).
+	mStreams = obs.NewCounter("clx_streams_total", "streaming.streams",
 		"Completed streaming bulk-apply runs (errored runs included).")
-	mStreamErrors = obs.NewCounter("clx_stream_errors_total",
+	mStreamErrors = obs.NewCounter("clx_stream_errors_total", "streaming.errors",
 		"Streaming runs that ended with a reader or writer error.")
-	mStreamRows = obs.NewCounter("clx_stream_rows_total",
+	mStreamRows = obs.NewCounter("clx_stream_rows_total", "streaming.rows",
 		"Rows emitted by streaming bulk-apply runs.")
-	mStreamChunks = obs.NewCounter("clx_stream_chunks_total",
+	mStreamChunks = obs.NewCounter("clx_stream_chunks_total", "streaming.chunks",
 		"Chunks emitted by streaming bulk-apply runs.")
-	mStreamFlagged = obs.NewCounter("clx_stream_flagged_total",
+	mStreamFlagged = obs.NewCounter("clx_stream_flagged_total", "streaming.flagged",
 		"Streamed rows left unchanged because no recorded pattern covers them.")
-	mStreamPeak = obs.NewGauge("clx_stream_peak_in_flight",
+	// mStreamPeak is the maximum in-flight chunk window any run reached.
+	mStreamPeak = obs.NewGauge("clx_stream_peak_in_flight", "streaming.peak_in_flight",
 		"High-water mark of admitted-but-unemitted chunks across all runs.")
 	mChunkDur = obs.NewHistogram("clx_stream_chunk_duration_seconds",
 		"Per-chunk transform latency inside the streaming engine.", nil)
@@ -48,27 +36,4 @@ func record(st Stats, err error) {
 	mStreamChunks.Add(st.Chunks)
 	mStreamFlagged.Add(st.Flagged)
 	mStreamPeak.Max(int64(st.PeakInFlight))
-}
-
-// GlobalStats returns a snapshot of the process-wide streaming counters.
-func GlobalStats() Counters {
-	return Counters{
-		Streams:      mStreams.Value(),
-		Errors:       mStreamErrors.Value(),
-		Rows:         mStreamRows.Value(),
-		Chunks:       mStreamChunks.Value(),
-		Flagged:      mStreamFlagged.Value(),
-		PeakInFlight: mStreamPeak.Value(),
-	}
-}
-
-// ResetGlobalStats zeroes the process counters (tests and benchmarks).
-func ResetGlobalStats() {
-	mStreams.Reset()
-	mStreamErrors.Reset()
-	mStreamRows.Reset()
-	mStreamChunks.Reset()
-	mStreamFlagged.Reset()
-	mStreamPeak.Reset()
-	mChunkDur.Reset()
 }

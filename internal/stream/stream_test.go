@@ -12,6 +12,7 @@ import (
 	"time"
 
 	clx "clx"
+	"clx/internal/obs"
 	"clx/internal/stream"
 )
 
@@ -316,9 +317,10 @@ func TestMillionRowBoundedMemory(t *testing.T) {
 		st.RowsPerSec, st.PeakInFlight, growth>>10)
 }
 
-// Global counters accumulate across runs.
+// Global counters accumulate across runs; they are read through the
+// registry that serves /v1/stats.
 func TestGlobalCounters(t *testing.T) {
-	stream.ResetGlobalStats()
+	before := obs.Default.Stats()
 	var got bytes.Buffer
 	if _, err := stream.Run(upperApplier{}, stream.NewSliceReader([]string{"a", "1"}),
 		stream.LineEncoder{}, &got, stream.Options{ChunkSize: 1, Workers: 1}); err != nil {
@@ -326,8 +328,10 @@ func TestGlobalCounters(t *testing.T) {
 	}
 	_, _ = stream.Run(upperApplier{}, &failingReader{}, stream.LineEncoder{}, &got,
 		stream.Options{Workers: 1})
-	c := stream.GlobalStats()
-	if c.Streams != 2 || c.Errors != 1 || c.Rows != 2 || c.Chunks != 2 || c.Flagged != 1 {
-		t.Fatalf("counters = %+v", c)
+	after := obs.Default.Stats()
+	d := func(key string) int64 { return after["streaming."+key] - before["streaming."+key] }
+	if d("streams") != 2 || d("errors") != 1 || d("rows") != 2 || d("chunks") != 2 || d("flagged") != 1 {
+		t.Fatalf("counters moved by streams=%d errors=%d rows=%d chunks=%d flagged=%d",
+			d("streams"), d("errors"), d("rows"), d("chunks"), d("flagged"))
 	}
 }

@@ -30,7 +30,7 @@ type SavedProgram struct {
 	// identity case + every guarded case, one scan per row), built once
 	// with the engine. nil when the compiler can't lower the program; the
 	// backtracking engine above then serves it — counted in
-	// automaton.GlobalStats.
+	// the clx_automaton_fallback_total metric.
 	auto *automaton.Machine
 	// Workers bounds the goroutine fan-out of Transform: 0 uses one worker
 	// per CPU, 1 runs serially. Output is identical for every setting.

@@ -7,10 +7,12 @@ package clx_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	clx "clx"
 	"clx/internal/dataset"
+	"clx/internal/obs"
 )
 
 // sameProfile asserts two sessions expose identical public profile state:
@@ -113,24 +115,36 @@ func TestTransformationSnapshotSurvivesAppend(t *testing.T) {
 	}
 }
 
+// profileIndexCounters reads the profile_index section of /v1/stats
+// through the registry that serves it.
+func profileIndexCounters() map[string]int64 {
+	out := map[string]int64{}
+	for key, v := range obs.Default.Stats() {
+		if name, ok := strings.CutPrefix(key, "profile_index."); ok {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // TestProfileIndexStatsCounters: the process-wide profile counters move
 // when sessions profile and append.
 func TestProfileIndexStatsCounters(t *testing.T) {
-	before := clx.ProfileIndexStats()
+	before := profileIndexCounters()
 	sess := clx.NewSession(phones)
 	sess.AppendAndReprofile(phones[:2])
-	after := clx.ProfileIndexStats()
+	after := profileIndexCounters()
 
-	if d := after.Profiles - before.Profiles; d != 2 {
+	if d := after["profiles"] - before["profiles"]; d != 2 {
 		t.Errorf("Profiles advanced by %d, want 2", d)
 	}
-	if d := after.IncrementalProfiles - before.IncrementalProfiles; d != 1 {
+	if d := after["incremental_profiles"] - before["incremental_profiles"]; d != 1 {
 		t.Errorf("IncrementalProfiles advanced by %d, want 1", d)
 	}
-	if d := after.AppendedRows - before.AppendedRows; d != 2 {
+	if d := after["appended_rows"] - before["appended_rows"]; d != 2 {
 		t.Errorf("AppendedRows advanced by %d, want 2", d)
 	}
-	if d := after.RowsProfiled - before.RowsProfiled; d != int64(2*len(phones)+2) {
+	if d := after["rows_profiled"] - before["rows_profiled"]; d != int64(2*len(phones)+2) {
 		t.Errorf("RowsProfiled advanced by %d, want %d", d, 2*len(phones)+2)
 	}
 }

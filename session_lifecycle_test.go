@@ -1,6 +1,7 @@
 package clx_test
 
 import (
+	"reflect"
 	"testing"
 
 	"clx"
@@ -13,15 +14,15 @@ func TestEmptyAppendNoOpCounters(t *testing.T) {
 	want := sess.ProfileStats()
 	gen := sess.Generation()
 
-	before := clx.ProfileIndexStats()
+	before := profileIndexCounters()
 	for _, rows := range [][]string{nil, {}} {
 		if got := sess.AppendAndReprofile(rows); got != want {
 			t.Errorf("AppendAndReprofile(%v) = %+v, want current stats %+v", rows, got, want)
 		}
 	}
-	after := clx.ProfileIndexStats()
+	after := profileIndexCounters()
 
-	if before != after {
+	if !reflect.DeepEqual(before, after) {
 		t.Errorf("empty append moved profile counters: before %+v, after %+v", before, after)
 	}
 	if sess.Generation() != gen {
